@@ -9,11 +9,20 @@ the arbiter.
 
 Degree-1 actions are outside the formalism (no rotation number fits a free
 action and no cone order at least 2 divides 1), so every census at degree 1
-is empty.  For surface genus at least 2 the degree is bounded: an orbifold
-with negative Euler characteristic has -chi >= 1/42, so the degree is at
-most 84*(genus-1).  Genus 0 and 1 admit infinite families (free rotations
-of every degree act on the torus), hence a census there demands an explicit
-degree filter.
+is empty.  For surface genus at least 2 the degree is bounded.  Any finite
+group action obeys the Hurwitz bound 84*(genus-1) (:func:`degree_cap`), but
+a data set describes a cyclic action, whose order is at most 4*genus+2
+(Wiman 1895; Harvey, "Cyclic groups of automorphisms of a compact Riemann
+surface", Quart. J. Math. 17, 1966).  A census therefore sweeps degrees
+1..4*genus+2 (:func:`cyclic_degree_cap`); tests hold the oracle empty above
+that bound.  Genus 0 and 1 admit infinite families (free rotations of every
+degree act on the torus), hence a census there demands an explicit degree
+filter.
+
+The generator works in integers: deficiencies are scaled by the degree, and
+order multisets that fail the lcm condition ``iv`` are dropped before any
+residue tuple is built for them.  Every data set it emits still passes
+:func:`perisurf.core.validate`.
 """
 
 from __future__ import annotations
@@ -24,12 +33,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 from .core import (
     ConePair,
     DataSet,
+    _lcm_violations,
     canonicalize,
     classify,
     data_set_from_json,
@@ -42,7 +52,17 @@ from .realization import polygon_realization, verify_realization
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(2, n + 1) if n % d == 0]
+    # divisors >= 2 in increasing order, by trial division up to sqrt(n)
+    if n < 2:
+        return []
+    low: list[int] = []
+    high: list[int] = []
+    for d in range(2, isqrt(n) + 1):
+        if n % d == 0:
+            low.append(d)
+            if d * d != n:
+                high.append(n // d)
+    return low + high[::-1] + [n]
 
 
 def _units(m: int) -> list[int]:
@@ -50,10 +70,24 @@ def _units(m: int) -> list[int]:
 
 
 def degree_cap(g: int) -> int:
-    """Largest degree a data set of surface genus ``g >= 2`` can have."""
+    """Hurwitz bound: the largest order of any group acting on a surface of
+    genus ``g >= 2``.  :func:`cyclic_degree_cap` is the bound for data sets."""
     if g < 2:
         raise ValueError("degree is unbounded below genus 2")
     return 84 * (g - 1)
+
+
+def cyclic_degree_cap(g: int) -> int:
+    """Largest degree a data set of surface genus ``g >= 2`` can have.
+
+    A data set describes a cyclic action, and a cyclic group acting on a
+    closed surface of genus ``g >= 2`` has order at most ``4g + 2`` (Wiman
+    1895; Harvey, Quart. J. Math. 17, 1966).  The bound is attained for
+    every such genus, e.g. by ``(4g+2,0;(1,2),(1,2g+1),(2g-1,4g+2))``.
+    """
+    if g < 2:
+        raise ValueError("degree is unbounded below genus 2")
+    return 4 * g + 2
 
 
 def _free_rotations(n: int, g: int) -> list[DataSet]:
@@ -70,18 +104,20 @@ def _free_rotations(n: int, g: int) -> list[DataSet]:
     return out
 
 
-def _order_multisets(n: int, target: Fraction) -> list[tuple[int, ...]]:
-    # non-decreasing divisor tuples whose deficiency sum hits target exactly
+def _order_multisets(n: int, target: int) -> list[tuple[int, ...]]:
+    # non-decreasing divisor tuples whose deficiency sum hits target exactly;
+    # deficiencies are scaled by n, so divisor d weighs n - n/d
     divs = _divisors(n)
+    weights = [n - n // d for d in divs]
     out: list[tuple[int, ...]] = []
 
-    def rec(start: int, remaining: Fraction, acc: list[int]) -> None:
+    def rec(start: int, remaining: int, acc: list[int]) -> None:
         if remaining == 0:
             if acc:
                 out.append(tuple(acc))
             return
         for i in range(start, len(divs)):
-            w = 1 - Fraction(1, divs[i])
+            w = weights[i]
             if w > remaining:
                 break
             acc.append(divs[i])
@@ -129,16 +165,26 @@ def enumerate_data_sets(degree: int, g: int) -> list[DataSet]:
         raise ValueError(f"genus must be non-negative, got {g}")
     n = degree
     found = list(_free_rotations(n, g))
+    # cone pairs are immutable, so one instance per (c, order) serves all
+    cones: dict[tuple[int, int], ConePair] = {}
 
     g0 = 0
     while True:
-        target = 2 - 2 * g0 + Fraction(2 * g - 2, n)
+        # 2 - 2*g0 + (2g - 2)/n, scaled by n
+        target = n * (2 - 2 * g0) + 2 * g - 2
         if target <= 0:
             break
         for orders in _order_multisets(n, target):
+            if _lcm_violations(n, g0, orders):
+                continue
             for cs in _residue_tuples(n, orders):
-                d = DataSet(n, g0, 0,
-                            tuple(ConePair(c, o) for c, o in zip(cs, orders)))
+                pairs = []
+                for key in zip(cs, orders):
+                    cone = cones.get(key)
+                    if cone is None:
+                        cone = cones[key] = ConePair(*key)
+                    pairs.append(cone)
+                d = DataSet(n, g0, 0, tuple(pairs))
                 if validate(d).valid:
                     assert genus(d) == g
                     found.append(d)
@@ -256,7 +302,7 @@ def census(query: CensusQuery, *, workers: int | None = None,
         if query.degrees is not None:
             degs = query.degrees
         elif g >= 2:
-            degs = tuple(range(1, degree_cap(g) + 1))
+            degs = tuple(range(1, cyclic_degree_cap(g) + 1))
         else:
             raise ValueError(
                 "a census below genus 2 has infinitely many data sets; "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -154,8 +155,39 @@ def mod_inverse(c: int, m: int) -> int:
 
 
 def _rh_genus(degree: int, quotient_genus: int, orders: list[int]) -> Fraction:
-    deficiency = sum((1 - Fraction(1, o) for o in orders), Fraction(0))
-    return 1 - Fraction(degree, 2) * (2 - 2 * quotient_genus - deficiency)
+    # Riemann-Hurwitz, 1 - n/2 * (2 - 2*g0 - sum(1 - 1/o)), over the common
+    # denominator L = lcm(orders): the deficiency is sum((o-1) * L/o) / L
+    common = lcm(*orders) if orders else 1
+    deficiency = sum((o - 1) * (common // o) for o in orders)
+    euler = (2 - 2 * quotient_genus) * common - deficiency
+    return Fraction(2 * common - degree * euler, 2 * common)
+
+
+def _lcm_violations(degree: int, quotient_genus: int,
+                    orders: Sequence[int]) -> list[tuple[str, str]]:
+    """Condition ``iv``: the lcm of the cone orders survives dropping any one
+    of them, and equals the degree when the quotient is a sphere.
+
+    Prefix and suffix lcms give every leave-one-out lcm in O(len(orders)).
+    """
+    l = len(orders)
+    prefix = [1] * (l + 1)
+    for idx, o in enumerate(orders):
+        prefix[idx + 1] = lcm(prefix[idx], o)
+    suffix = [1] * (l + 1)
+    for idx in range(l - 1, -1, -1):
+        suffix[idx] = lcm(suffix[idx + 1], orders[idx])
+    full = prefix[l]
+    out: list[tuple[str, str]] = []
+    for idx in range(l):
+        partial = lcm(prefix[idx], suffix[idx + 1])
+        if partial != full:
+            out.append(("iv", f"dropping cone {idx + 1} changes the lcm of the "
+                              f"cone orders from {full} to {partial}"))
+    if quotient_genus == 0 and full != degree:
+        out.append(("iv", f"with quotient genus 0 the lcm of the cone orders "
+                          f"must equal the degree, got {full}"))
+    return out
 
 
 def genus(d: DataSet | MarkedDataSet) -> int:
@@ -219,17 +251,7 @@ def validate(d: DataSet | MarkedDataSet) -> ValidationReport:
                                f"is not coprime to its order {p.order}"))
 
     orders = [p.order for p in pairs]
-    full = lcm(*orders) if orders else 1
-    # the lcm must be insensitive to dropping any single cone order
-    for idx in range(l):
-        rest = orders[:idx] + orders[idx + 1:]
-        partial = lcm(*rest) if rest else 1
-        if partial != full:
-            out.append(("iv", f"dropping cone {idx + 1} changes the lcm of the "
-                              f"cone orders from {full} to {partial}"))
-    if g0 == 0 and full != n:
-        out.append(("iv", f"with quotient genus 0 the lcm of the cone orders "
-                          f"must equal the degree, got {full}"))
+    out.extend(_lcm_violations(n, g0, orders))
 
     if l:
         weighted = sum((n // p.order) * p.c for p in pairs if n % p.order == 0)
@@ -348,6 +370,14 @@ class _Cursor:
             raise ParseError(f"expected a number, found {got!r}", self.pos)
         return int(self.text[start:self.pos])
 
+    def build(self, cls, *args):
+        """Construct ``cls(*args)``; its structural errors become parse
+        errors at the current position."""
+        try:
+            return cls(*args)
+        except (ValueError, TypeError) as e:
+            raise ParseError(str(e), self.pos) from None
+
 
 _DASHES = ("-", "−")
 
@@ -356,7 +386,8 @@ def parse_data_set(text: str) -> DataSet | MarkedDataSet:
     """Parse the tuple notation; raises :class:`ParseError` with a position.
 
     Only the grammar is enforced here — semantic conditions are left to
-    :func:`validate`.
+    :func:`validate`.  The constructors' structural checks (a zero degree,
+    cone order or mark index) surface as :class:`ParseError` as well.
     """
     cur = _Cursor(text)
     cur.expect("(")
@@ -410,7 +441,7 @@ def parse_data_set(text: str) -> DataSet | MarkedDataSet:
                 count = cur.number()
                 if count < 1:
                     raise ParseError("repeat count must be positive", cur.pos)
-            pairs.extend([ConePair(c, order)] * count)
+            pairs.extend([cur.build(ConePair, c, order)] * count)
             if not cur.take(","):
                 break
     if cur.peek() == "[":
@@ -427,14 +458,14 @@ def parse_data_set(text: str) -> DataSet | MarkedDataSet:
     if cur.pos != len(cur.text):
         raise ParseError("unexpected trailing text", cur.pos)
 
-    base = DataSet(degree, g0, rotation, tuple(pairs))
+    base = cur.build(DataSet, degree, g0, rotation, tuple(pairs))
     if sign is None and marks is None:
         return base
     if sign is None:
         raise ParseError("a marks list requires a sign on the degree", 0)
     if marks is None:
         raise ParseError("a sign on the degree requires a marks list", 0)
-    return MarkedDataSet(base, sign, marks)
+    return cur.build(MarkedDataSet, base, sign, marks)
 
 
 def format_data_set(d: DataSet | MarkedDataSet) -> str:

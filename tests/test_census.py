@@ -1,9 +1,14 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from perisurf.census import (
     CensusQuery,
     CensusRecord,
+    _divisors,
     census,
+    cyclic_degree_cap,
     degree_cap,
     enumerate_data_sets,
     enumerate_irreducible,
@@ -11,7 +16,7 @@ from perisurf.census import (
     read_census,
     write_census,
 )
-from perisurf.core import format_data_set, parse_data_set, validate
+from perisurf.core import _rh_genus, format_data_set, parse_data_set, validate
 
 
 def names(records):
@@ -86,6 +91,55 @@ def test_degree_cap():
     assert degree_cap(3) == 168
     with pytest.raises(ValueError):
         degree_cap(1)
+
+
+def test_cyclic_degree_cap():
+    assert cyclic_degree_cap(2) == 10
+    assert cyclic_degree_cap(10) == 42
+    with pytest.raises(ValueError):
+        cyclic_degree_cap(1)
+
+
+def test_oracle_finds_nothing_above_the_wiman_bound():
+    for g in (2, 3):
+        for n in range(cyclic_degree_cap(g) + 1, degree_cap(g) + 1):
+            assert enumerate_oracle(n, g) == [], (n, g)
+
+
+def test_wiman_bound_is_attained():
+    for g in range(2, 11):
+        assert enumerate_data_sets(cyclic_degree_cap(g), g), g
+
+
+def test_census_equals_the_sweep_up_to_the_hurwitz_bound():
+    for g in range(2, 7):
+        swept = CensusQuery(genus=g, degrees=tuple(range(1, degree_cap(g) + 1)))
+        assert census(CensusQuery(genus=g), workers=1) == census(swept, workers=1)
+
+
+def _rh_genus_by_fractions(n, g0, orders):
+    # reference: Riemann-Hurwitz summed term by term in Fractions
+    deficiency = sum((1 - Fraction(1, o) for o in orders), Fraction(0))
+    return 1 - Fraction(n, 2) * (2 - 2 * g0 - deficiency)
+
+
+@given(st.integers(min_value=1, max_value=300),
+       st.integers(min_value=0, max_value=6),
+       st.lists(st.integers(min_value=1, max_value=60), max_size=8))
+@example(6, 0, [4, 5])
+@example(7, 1, [])
+def test_integer_rh_genus_matches_fraction_formula(n, g0, orders):
+    got = _rh_genus(n, g0, orders)
+    want = _rh_genus_by_fractions(n, g0, orders)
+    assert got == want
+    assert str(got) == str(want)
+
+
+def test_divisors_match_naive_list():
+    for n in range(0, 3001):
+        assert _divisors(n) == [d for d in range(2, n + 1) if n % d == 0], n
+    assert len(_divisors(10**9)) == 99
+    assert enumerate_data_sets(10**9, 2) == []
 
 
 def test_enumerate_irreducible():

@@ -40,6 +40,13 @@ def test_genus_and_exit_codes(capsys):
     assert err.startswith("error:")
 
 
+def test_structurally_bad_notation_is_a_parse_error(capsys):
+    for text in ["(6,0;(1,0))", "(6_+,0;(1,2),(1,3),(1,6),[0])"]:
+        code, _, err = run(["genus", text], capsys)
+        assert code == 2, text
+        assert "parse error" in err
+
+
 def test_validate_reports_and_exit(capsys):
     code, out, _ = run(["validate", "(6,0;(1,2),(1,3),(1,6))"], capsys)
     assert code == 0 and out.strip() == "valid"

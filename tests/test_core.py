@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from perisurf.core import (
     DataSet,
     MarkedDataSet,
     ParseError,
+    _lcm_violations,
     canonicalize,
     canonicalize_marked,
     classify,
@@ -114,6 +117,30 @@ def test_validate_lcm_condition():
     report = validate(ds("(6,0;(1,2),(1,2),(1,6))"))
     assert not report.valid
     assert "iv" in report.ids()
+
+
+def _lcm_violations_leave_one_out(n, g0, orders):
+    # condition iv recomputing the lcm once per dropped order
+    full = lcm(*orders) if orders else 1
+    out = []
+    for idx in range(len(orders)):
+        rest = orders[:idx] + orders[idx + 1:]
+        partial = lcm(*rest) if rest else 1
+        if partial != full:
+            out.append(("iv", f"dropping cone {idx + 1} changes the lcm of the "
+                              f"cone orders from {full} to {partial}"))
+    if g0 == 0 and full != n:
+        out.append(("iv", f"with quotient genus 0 the lcm of the cone orders "
+                          f"must equal the degree, got {full}"))
+    return out
+
+
+@given(st.integers(min_value=1, max_value=120),
+       st.integers(min_value=0, max_value=2),
+       st.lists(st.integers(min_value=1, max_value=40), max_size=8))
+def test_lcm_violations_match_leave_one_out(n, g0, orders):
+    assert _lcm_violations(n, g0, orders) == \
+        _lcm_violations_leave_one_out(n, g0, orders)
 
 
 def test_validate_residue_sum_condition():
@@ -259,7 +286,8 @@ def test_parse_expands_repetition_shorthand():
 
 def test_parse_errors_carry_positions():
     for bad in ["(bogus", "(5,0;(1,5)", "(5,0;(1,5)))", "5,0;(1,5)", "(5;0)",
-                "(5,0;(1,5),)", "(5,0,;(1,5))"]:
+                "(5,0;(1,5),)", "(5,0,;(1,5))",
+                "(6,0;(1,0))", "(0,0;(1,2))", "(6_+,0;(1,2),(1,3),(1,6),[0])"]:
         with pytest.raises(ParseError):
             ds(bad)
 
