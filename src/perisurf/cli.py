@@ -375,9 +375,11 @@ def _cmd_fill(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    # without --samples each path keeps its own default grid
+    samples = {} if args.samples is None else {"samples": args.samples}
     if args.search:
         pp = search_profiles(args.p, args.q, candidates=args.candidates,
-                             tolerance=args.tolerance)
+                             tolerance=args.tolerance, **samples)
         if pp is None:
             if _wants_json(args):
                 _print_json({"found": False})
@@ -387,7 +389,7 @@ def _cmd_profile(args) -> int:
         report = verify_profile(pp, args.tolerance)
     else:
         pp = build_profile(args.p, args.q, args.K, args.H,
-                           peak=args.peak, samples=args.samples)
+                           peak=args.peak, **samples)
         report = verify_profile(pp, args.tolerance)
     if args.csv:
         write_profile_csv(pp, args.csv)
@@ -536,7 +538,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="binding height (default: clears the collar)")
     p.add_argument("--peak", type=float, default=1.0,
                    help="crest scale of the middle arc")
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--samples", type=int, default=None,
+                   help="grid size (default: 1024, or 256 with --search)")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--csv", metavar="PATH", help="dump r,f0,g0 samples")
     p.add_argument("--search", action="store_true",

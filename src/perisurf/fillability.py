@@ -12,7 +12,10 @@ The second half of the module builds and checks the plane curves
 ``q/p``: ``f dg - g df > 0`` away from the core and ``p f' + q g' < 0``
 everywhere.  Verification is numerical on a sample grid with an explicit
 tolerance; values inside the tolerance band are reported as inconclusive
-rather than silently passed or failed.
+rather than silently passed or failed.  Verification and the shape search
+read one lazy stream of per-sample conditions: verification reads all of
+it, while the search stops a shape at its first definite violation and so
+accepts exactly the shapes ``verify_profile(...).ok`` accepts.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, pairwise, product
 
 from .core import MarkedDataSet, classify
 from .gluing import Assembly, assemble
@@ -297,12 +300,13 @@ def _hermite(t: float, va: float, da: float, vb: float, db: float,
     return h00 * va + h10 * width * da + h01 * vb + h11 * width * db
 
 
-def _assemble_profile(p: int, q: int, K: int, H: float, peak: float = 1.0,
-                      samples: int = 1024) -> ProfilePair:
-    """Build the three-arc profile; no sign restriction on ``p`` here.
+def _profile_points(p: int, q: int, K: int, H: float, peak: float,
+                    samples: int):
+    """Yield the samples ``(r, f0, g0)`` of the three-arc profile in order.
 
     Construction never fails on shape grounds: a collar offset that misses
-    the corner still produces a curve, and the verifier rejects it.
+    the corner still produces a curve, and the verifier rejects it.  There
+    is no sign restriction on ``p`` here.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -313,22 +317,23 @@ def _assemble_profile(p: int, q: int, K: int, H: float, peak: float = 1.0,
     gb, dgb = -b * q + p * K, float(-q)
     bump_scale = (peak - 1.0) * max(1.0, abs(gb))
 
-    grid, f0, g0 = [], [], []
     for i in range(samples):
         r = i / (samples - 1)
-        grid.append(r)
         if r <= a:
-            f0.append(2 * H - r * r)
-            g0.append(r * r)
+            yield r, 2 * H - r * r, r * r
         elif r >= b:
-            f0.append(-r * p - q * K)
-            g0.append(-r * q + p * K)
+            yield r, -r * p - q * K, -r * q + p * K
         else:
             t = (r - a) / (b - a)
-            f0.append(_hermite(t, fa, dfa, fb, dfb, b - a))
             g = _hermite(t, ga, dga, gb, dgb, b - a)
-            g0.append(g + bump_scale * 16 * t * t * (1 - t) * (1 - t))
-    return ProfilePair(tuple(grid), tuple(f0), tuple(g0), p, q, K, H)
+            yield (r, _hermite(t, fa, dfa, fb, dfb, b - a),
+                   g + bump_scale * 16 * t * t * (1 - t) * (1 - t))
+
+
+def _assemble_profile(p: int, q: int, K: int, H: float, peak: float = 1.0,
+                      samples: int = 1024) -> ProfilePair:
+    grid, f0, g0 = zip(*_profile_points(p, q, K, H, peak, samples))
+    return ProfilePair(grid, f0, g0, p, q, K, H)
 
 
 def _default_twist_count(p: int, q: int) -> int:
@@ -365,15 +370,33 @@ def build_profile(p: int, q: int, K: int | None = None,
     return _assemble_profile(p, q, K, H, peak=peak, samples=samples)
 
 
-def _derivatives(grid: tuple[float, ...],
-                 values: tuple[float, ...]) -> list[float]:
-    n = len(grid)
-    out = [0.0] * n
-    out[0] = (values[1] - values[0]) / (grid[1] - grid[0])
-    out[-1] = (values[-1] - values[-2]) / (grid[-1] - grid[-2])
-    for i in range(1, n - 1):
-        out[i] = (values[i + 1] - values[i - 1]) / (grid[i + 1] - grid[i - 1])
-    return out
+def _require_verifiable(samples: int) -> None:
+    if samples < 64:
+        raise ValueError("verification needs at least 64 samples")
+
+
+def _checks(points, p: int, q: int):
+    """Yield ``(r, condition, value, wanted_sign)`` along ``points``, at
+    least two samples ``(r, f0, g0)`` in grid order: the contact value
+    ``f g' - f' g`` (wanted positive, skipped at the binding core ``r = 0``)
+    and then the symplectic value ``p f' + q g'`` (wanted negative).
+
+    Derivatives are central differences, one-sided at the two ends.  The
+    stream is lazy: a consumer that stops early computes nothing further.
+    """
+    points = iter(points)
+    prev = cur = next(points)
+    for nxt in chain(points, (None,)):
+        # forward difference at the first sample, backward at the last
+        lo, hi = prev, nxt or cur
+        dr = hi[0] - lo[0]
+        df = (hi[1] - lo[1]) / dr
+        dg = (hi[2] - lo[2]) / dr
+        r, f, g = cur
+        if cur is not prev:
+            yield r, "contact", f * dg - df * g, 1
+        yield r, "symplectic", p * df + q * dg, -1
+        prev, cur = cur, nxt
 
 
 def verify_profile(pp: ProfilePair, tolerance: float = 1e-9) -> ConditionReport:
@@ -387,29 +410,21 @@ def verify_profile(pp: ProfilePair, tolerance: float = 1e-9) -> ConditionReport:
     integer arithmetic this is checked without tolerance and reported under
     the condition id ``"corner"``.
     """
-    if len(pp.grid) < 64:
-        raise ValueError("verification needs at least 64 samples")
-    df = _derivatives(pp.grid, pp.f0)
-    dg = _derivatives(pp.grid, pp.g0)
-
+    _require_verifiable(len(pp.grid))
     contact_ok, symplectic_ok = True, True
     first_violation = None
     inconclusive = []
-    for i, r in enumerate(pp.grid):
-        checks = []
-        if i >= 1:
-            checks.append(("contact", pp.f0[i] * dg[i] - df[i] * pp.g0[i], 1))
-        checks.append(("symplectic", pp.p * df[i] + pp.q * dg[i], -1))
-        for name, value, wanted_sign in checks:
-            if abs(value) <= tolerance:
-                inconclusive.append((r, name, value))
-            elif (value > 0) != (wanted_sign > 0):
-                if name == "contact":
-                    contact_ok = False
-                else:
-                    symplectic_ok = False
-                if first_violation is None:
-                    first_violation = (r, name, value)
+    for r, name, value, wanted_sign in _checks(
+            zip(pp.grid, pp.f0, pp.g0, strict=True), pp.p, pp.q):
+        if abs(value) <= tolerance:
+            inconclusive.append((r, name, value))
+        elif (value > 0) != (wanted_sign > 0):
+            if name == "contact":
+                contact_ok = False
+            else:
+                symplectic_ok = False
+            if first_violation is None:
+                first_violation = (r, name, value)
 
     corner_f, corner_g = -pp.p - pp.q * pp.K, -pp.q + pp.p * pp.K
     if not corner_f < 0 < corner_g:
@@ -424,14 +439,14 @@ def verify_profile(pp: ProfilePair, tolerance: float = 1e-9) -> ConditionReport:
 def binding_symplectic_deviation(pp: ProfilePair) -> float:
     """Largest gap between the numeric symplectic form and its closed form
     ``2r(q - p)`` on the interior of the binding arc."""
-    df = _derivatives(pp.grid, pp.f0)
-    dg = _derivatives(pp.grid, pp.g0)
+    symplectic = ((r, value) for r, name, value, _ in _checks(
+        zip(pp.grid, pp.f0, pp.g0, strict=True), pp.p, pp.q)
+        if name == "symplectic")
+    next(symplectic)  # the core sample has a one-sided difference
     worst = 0.0
-    for i in range(1, len(pp.grid) - 1):
-        r = pp.grid[i]
-        if pp.grid[i + 1] >= _BINDING_END:
+    for (r, numeric), (r_next, _) in pairwise(symplectic):
+        if r_next >= _BINDING_END:
             break
-        numeric = pp.p * df[i] + pp.q * dg[i]
         worst = max(worst, abs(numeric - 2 * r * (pp.q - pp.p)))
     return worst
 
@@ -444,11 +459,16 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
     Unlike :func:`build_profile` this accepts negative ``p`` so that both
     orientations of a slope can be probed; it returns the first profile
     passing :func:`verify_profile`, or ``None`` when every candidate fails.
+    Each shape is sampled lazily and dropped at its first definite
+    violation, so an infeasible shape costs a few samples rather than the
+    whole grid; the outcome is the one ``verify_profile(...).ok`` gives,
+    from the same floats in the same order at the same tolerance.
     """
     if p == 0:
         raise ValueError("p must be nonzero")
     if math.gcd(abs(p), abs(q)) != 1:
         raise ValueError(f"slope {q}/{p} is not in lowest terms")
+    _require_verifiable(samples)
     peaks = (1.0, 0.5, 0.75, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
     tried = 0
     for K, H, peak in product(range(1, 11), range(1, 11), peaks):
@@ -457,10 +477,16 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
         tried += 1
         if not -p - q * K < 0 < -q + p * K:
             continue  # endpoint misses the corner; verification cannot pass
-        pp = _assemble_profile(p, q, K, float(H), peak=peak,
-                               samples=samples)
-        if verify_profile(pp, tolerance).ok:
-            return pp
+        points = []
+        recorded = (points.append(pt) or pt for pt in
+                    _profile_points(p, q, K, float(H), peak, samples))
+        # `not abs(value) <= tolerance` rather than `>`: it matches
+        # verify_profile's inconclusive test on NaN as well
+        if not any(not abs(value) <= tolerance
+                   and (value > 0) != (wanted_sign > 0)
+                   for _, _, value, wanted_sign in _checks(recorded, p, q)):
+            grid, f0, g0 = zip(*points)
+            return ProfilePair(grid, f0, g0, p, q, K, float(H))
     return None
 
 

@@ -212,6 +212,22 @@ def test_profile_search(capsys):
     assert "no verified profile found" in out
 
 
+def test_profile_samples_apply_to_both_paths(capsys):
+    def samples(argv):
+        code, out, _ = run(["profile", "--json", *argv], capsys)
+        assert code == 0
+        return json.loads(out)["samples"]
+
+    assert samples(["2", "1"]) == 1024
+    assert samples(["2", "1", "--search"]) == 256
+    assert samples(["2", "1", "--samples", "128"]) == 128
+    assert samples(["2", "1", "--search", "--samples", "1024"]) == 1024
+
+    code, _, err = run(["profile", "2", "1", "--search", "--samples", "32"],
+                       capsys)
+    assert code == 1 and "at least 64 samples" in err
+
+
 def test_enumerate_matches_oracle(capsys):
     code, out, _ = run(["enumerate", "6", "1"], capsys)
     assert code == 0

@@ -1,8 +1,14 @@
 import csv
+import importlib.util
+import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from perisurf.core import parse_data_set
 from perisurf.fillability import (
@@ -18,7 +24,14 @@ from perisurf.fillability import (
     verify_profile,
     write_profile_csv,
 )
-from perisurf.fillability import _assemble_profile
+from perisurf.fillability import (
+    _BINDING_END,
+    _COLLAR_START,
+    ConditionReport,
+    ProfilePair,
+    _assemble_profile,
+    _hermite,
+)
 from perisurf.gluing import Assembly, Ext, build_edge
 from perisurf.openbook import BoundaryOrbit, OpenBookDescriptor, page_descriptor
 
@@ -283,6 +296,11 @@ def test_search_argument_errors():
         search_profiles(0, 1)
     with pytest.raises(ValueError):
         search_profiles(2, 4)
+    # too coarse a grid is refused up front, even for slopes whose every
+    # candidate misses the corner and so never reaches verification
+    for p, q in ((2, 1), (-3, 8), (1, -5)):
+        with pytest.raises(ValueError, match="at least 64 samples"):
+            search_profiles(p, q, samples=32)
 
 
 def test_profile_csv_roundtrip(tmp_path):
@@ -295,3 +313,164 @@ def test_profile_csv_roundtrip(tmp_path):
     assert len(rows) == 129
     assert float(rows[1][0]) == pp.grid[0]
     assert float(rows[-1][2]) == pp.g0[-1]
+
+
+# --- reference implementations -----------------------------------------------
+# The profile numerics as they were before search and verification shared one
+# lazy condition stream: whole arrays, a derivative pass, then the checks.
+
+
+def _reference_assemble(p, q, K, H, peak=1.0, samples=1024):
+    a, b = _BINDING_END, _COLLAR_START
+    fa, dfa = 2 * H - a * a, -2 * a
+    ga, dga = a * a, 2 * a
+    fb, dfb = -b * p - q * K, float(-p)
+    gb, dgb = -b * q + p * K, float(-q)
+    bump_scale = (peak - 1.0) * max(1.0, abs(gb))
+
+    grid, f0, g0 = [], [], []
+    for i in range(samples):
+        r = i / (samples - 1)
+        grid.append(r)
+        if r <= a:
+            f0.append(2 * H - r * r)
+            g0.append(r * r)
+        elif r >= b:
+            f0.append(-r * p - q * K)
+            g0.append(-r * q + p * K)
+        else:
+            t = (r - a) / (b - a)
+            f0.append(_hermite(t, fa, dfa, fb, dfb, b - a))
+            g = _hermite(t, ga, dga, gb, dgb, b - a)
+            g0.append(g + bump_scale * 16 * t * t * (1 - t) * (1 - t))
+    return ProfilePair(tuple(grid), tuple(f0), tuple(g0), p, q, K, H)
+
+
+def _reference_derivatives(grid, values):
+    n = len(grid)
+    out = [0.0] * n
+    out[0] = (values[1] - values[0]) / (grid[1] - grid[0])
+    out[-1] = (values[-1] - values[-2]) / (grid[-1] - grid[-2])
+    for i in range(1, n - 1):
+        out[i] = (values[i + 1] - values[i - 1]) / (grid[i + 1] - grid[i - 1])
+    return out
+
+
+def _reference_verify(pp, tolerance=1e-9):
+    if len(pp.grid) < 64:
+        raise ValueError("verification needs at least 64 samples")
+    df = _reference_derivatives(pp.grid, pp.f0)
+    dg = _reference_derivatives(pp.grid, pp.g0)
+
+    contact_ok, symplectic_ok = True, True
+    first_violation = None
+    inconclusive = []
+    for i, r in enumerate(pp.grid):
+        checks = []
+        if i >= 1:
+            checks.append(("contact", pp.f0[i] * dg[i] - df[i] * pp.g0[i], 1))
+        checks.append(("symplectic", pp.p * df[i] + pp.q * dg[i], -1))
+        for name, value, wanted_sign in checks:
+            if abs(value) <= tolerance:
+                inconclusive.append((r, name, value))
+            elif (value > 0) != (wanted_sign > 0):
+                if name == "contact":
+                    contact_ok = False
+                else:
+                    symplectic_ok = False
+                if first_violation is None:
+                    first_violation = (r, name, value)
+
+    corner_f, corner_g = -pp.p - pp.q * pp.K, -pp.q + pp.p * pp.K
+    if not corner_f < 0 < corner_g:
+        symplectic_ok = False
+        if first_violation is None:
+            bad = corner_f if corner_f >= 0 else corner_g
+            first_violation = (1.0, "corner", float(bad))
+    return ConditionReport(contact_ok, symplectic_ok, first_violation,
+                           tuple(inconclusive))
+
+
+def _reference_binding_deviation(pp):
+    df = _reference_derivatives(pp.grid, pp.f0)
+    dg = _reference_derivatives(pp.grid, pp.g0)
+    worst = 0.0
+    for i in range(1, len(pp.grid) - 1):
+        r = pp.grid[i]
+        if pp.grid[i + 1] >= _BINDING_END:
+            break
+        numeric = pp.p * df[i] + pp.q * dg[i]
+        worst = max(worst, abs(numeric - 2 * r * (pp.q - pp.p)))
+    return worst
+
+
+def _reference_search(p, q, *, candidates=1000, samples=256, tolerance=1e-9):
+    """The search loop as it was, also returning how many candidates it had
+    counted against the budget when it stopped."""
+    peaks = (1.0, 0.5, 0.75, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
+    tried = 0
+    for K, H, peak in product(range(1, 11), range(1, 11), peaks):
+        if tried >= candidates:
+            break
+        tried += 1
+        if not -p - q * K < 0 < -q + p * K:
+            continue
+        pp = _reference_assemble(p, q, K, float(H), peak=peak,
+                                 samples=samples)
+        if _reference_verify(pp, tolerance).ok:
+            return pp, tried
+    return None, tried
+
+
+@given(st.integers(min_value=-9, max_value=9),
+       st.integers(min_value=-9, max_value=9),
+       st.integers(min_value=-3, max_value=12),
+       st.floats(min_value=0, max_value=11),
+       st.sampled_from([0.0, 0.5, 1.0, 2.0, 6.0]),
+       st.sampled_from([64, 256, 1024]),
+       st.booleans(),
+       st.sampled_from([1e-9, 0.25]))
+@example(2, 1, 2, 5.0, 1.0, 1024, False, 1e-9)
+@example(5, -1, 10, 3.0, 1.0, 256, False, 1e-9)
+@example(2, 3, 2, 1.0, 1.0, 256, True, 1e-9)
+def test_condition_stream_matches_reference_verifier(p, q, K, H, peak,
+                                                     samples, flip, tolerance):
+    pp = _assemble_profile(p, q, K, H, peak=peak, samples=samples)
+    want_pp = _reference_assemble(p, q, K, H, peak=peak, samples=samples)
+    assert repr(pp) == repr(want_pp)
+    if flip:
+        pp = replace(pp, g0=tuple(-g for g in pp.g0))
+    # repr tells every distinct float apart, -0.0 from 0.0 included
+    assert (repr(verify_profile(pp, tolerance))
+            == repr(_reference_verify(pp, tolerance)))
+    assert (repr(binding_symplectic_deviation(pp))
+            == repr(_reference_binding_deviation(pp)))
+
+
+def test_search_matches_reference_search():
+    # the coarsest grid verification accepts keeps the reference affordable;
+    # every candidate decision is the one of the reference verifier, whose
+    # equivalence on all three grid sizes is the test above
+    budgets = (1, 37, 300, 1000)
+    slopes = [(p, q) for p in (*range(1, 10), *range(-9, 0))
+              for q in range(-27, 19) if math.gcd(abs(p), abs(q)) == 1]
+    for p, q in slopes:
+        want, accepted_at = _reference_search(p, q, candidates=max(budgets),
+                                              samples=64)
+        for budget in budgets:
+            got = search_profiles(p, q, candidates=budget, samples=64)
+            expected = want if accepted_at <= budget else None
+            assert repr(got) == repr(expected), (p, q, budget)
+
+
+def test_profile_sweep_script_maps_the_feasible_region(capsys, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "profile_sweep.py"
+    spec = importlib.util.spec_from_file_location("profile_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, "profile_sweep", script)
+    spec.loader.exec_module(script)
+    assert script.main(["--window", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "24 feasible slopes of 94 tested" in out
+    assert "unexpected misses" not in out
