@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .census import (
     CensusQuery,
@@ -78,19 +77,13 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _frac(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _token_str(t) -> str:
     if isinstance(t, Ext):
         return f"ext({t.piece},{t.sign})"
     if isinstance(t, Twist):
         return f"twist({t.curve},{t.power:+d})"
     if isinstance(t, Rot):
-        return f"rot({t.orbit},{_frac(t.slope)})"
+        return f"rot({t.orbit},{t.slope})"
     raise TypeError(f"unknown token {t!r}")
 
 
@@ -292,8 +285,8 @@ def _print_descriptor(d) -> None:
     for o in d.boundary_orbits:
         circles = "1 circle" if o.orbit_size == 1 else f"{o.orbit_size} circles"
         tail = "invariant" if o.invariant else \
-            f"per period {_frac(o.per_period_slope)}"
-        print(f"orbit {o.mark}: {circles}, slope {_frac(o.full_period_slope)}"
+            f"per period {o.per_period_slope}"
+        print(f"orbit {o.mark}: {circles}, slope {o.full_period_slope}"
               f" ({tail})")
     print(f"word: {_word_str(d.monodromy)}")
     print(f"positive word: {'yes' if d.positive_word else 'no'}")
@@ -327,8 +320,8 @@ def _cmd_surgery(args) -> int:
             print(f"orbit {e.orbit}: no surgery")
             continue
         line = (f"orbit {e.orbit}: {e.kind} surgery, "
-                f"topological {_frac(e.topological)}, "
-                f"contact {_frac(e.contact)}")
+                f"topological {e.topological}, "
+                f"contact {e.contact}")
         if e.legendrian_realizable:
             line += " (legendrian)"
         print(line)

@@ -16,7 +16,6 @@ stopping at the first.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -205,6 +204,28 @@ def genus(d: DataSet | MarkedDataSet) -> int:
     return int(g)
 
 
+def _mark_violations(m: MarkedDataSet) -> list[tuple[str, str]]:
+    """Condition ``marks``: at least one mark, no mark twice, and every mark
+    a cone index of the base."""
+    l = m.base.num_pairs
+    out: list[tuple[str, str]] = []
+    if not m.marks:
+        out.append(("marks", "marked data set has no marks"))
+    if len(set(m.marks)) != len(m.marks):
+        out.append(("marks", "mark indices must be distinct"))
+    for j in m.marks:
+        if not 1 <= j <= l:
+            out.append(("marks", f"mark {j} is outside the cone index range 1..{l}"))
+    return out
+
+
+def _check_marks(m: MarkedDataSet, context: str = "") -> None:
+    """Raise ``ValueError`` with the first mark violation of ``m``, if any."""
+    violations = _mark_violations(m)
+    if violations:
+        raise ValueError(context + violations[0][1])
+
+
 def validate(d: DataSet | MarkedDataSet) -> ValidationReport:
     """Check every defining condition and report all violations.
 
@@ -215,15 +236,7 @@ def validate(d: DataSet | MarkedDataSet) -> ValidationReport:
     """
     mark_violations: list[tuple[str, str]] = []
     if isinstance(d, MarkedDataSet):
-        l = d.base.num_pairs
-        if not d.marks:
-            mark_violations.append(("marks", "marked data set has no marks"))
-        if len(set(d.marks)) != len(d.marks):
-            mark_violations.append(("marks", "mark indices must be distinct"))
-        for m in d.marks:
-            if not 1 <= m <= l:
-                mark_violations.append(
-                    ("marks", f"mark {m} is outside the cone index range 1..{l}"))
+        mark_violations = _mark_violations(d)
         d = d.base
 
     n, g0, r, pairs = d.degree, d.quotient_genus, d.rotation, d.cone_pairs
@@ -486,6 +499,11 @@ def format_data_set(d: DataSet | MarkedDataSet) -> str:
 # --- JSON form -------------------------------------------------------------
 
 
+def _fraction_to_json(x: Fraction | None) -> list[int] | None:
+    """A fraction as ``[numerator, denominator]``; ``None`` stays ``None``."""
+    return None if x is None else [x.numerator, x.denominator]
+
+
 def data_set_to_json(d: DataSet | MarkedDataSet) -> dict:
     marked = isinstance(d, MarkedDataSet)
     base = d.base if marked else d
@@ -519,7 +537,3 @@ def data_set_from_json(obj: dict) -> DataSet | MarkedDataSet:
 def validation_report_to_json(r: ValidationReport) -> dict:
     return {"valid": r.valid,
             "violations": [{"condition": c, "detail": t} for c, t in r.violations]}
-
-
-def dumps(d: DataSet | MarkedDataSet) -> str:
-    return json.dumps(data_set_to_json(d), sort_keys=True)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, pairwise, product
 
-from .core import MarkedDataSet, classify
+from .core import MarkedDataSet, _check_marks, classify
 from .gluing import Assembly, assemble
 from .openbook import (
     OpenBookDescriptor,
@@ -90,11 +90,13 @@ def classify_irreducible(m: MarkedDataSet) -> FillabilityVerdict:
     A positive extension is Stein fillable outright.  A negative extension
     is resolved integrally when every marked orbit rotates by ``-1/order``;
     the resolved word is a product of negative boundary twists, hence
-    left-veering, and the structure is overtwisted.
+    left-veering, and the structure is overtwisted.  Raises ``ValueError``
+    unless the base is irreducible type 1 and the marks are well formed.
     """
     label = classify(m.base).label
     if label != "type1-irreducible":
         raise ValueError(f"expected an irreducible type 1 data set, got {label}")
+    _check_marks(m)
 
     if m.sign == "+":
         notes = []

@@ -22,12 +22,15 @@ from .core import (
     ConePair,
     DataSet,
     MarkedDataSet,
+    _check_marks,
+    _fraction_to_json,
     classify,
     data_set_from_json,
     data_set_to_json,
     mod_inverse,
     parse_data_set,
 )
+from .realization import _UnionFind
 
 
 def _require_plain(d, name: str) -> DataSet:
@@ -36,6 +39,18 @@ def _require_plain(d, name: str) -> DataSet:
     if isinstance(d, DataSet):
         return d
     raise TypeError(f"{name} must be a data set")
+
+
+def _compatible(p: ConePair, q: ConePair) -> bool:
+    """Cones glue when their orders agree and their rotations cancel."""
+    return p.order == q.order and (p.c + q.c) % p.order == 0
+
+
+def _require_compatible(p: ConePair, q: ConePair,
+                        p_where: str = "", q_where: str = "") -> None:
+    if not _compatible(p, q):
+        raise ValueError(f"cones ({p.c},{p.order}){p_where} and "
+                         f"({q.c},{q.order}){q_where} are not compatible")
 
 
 def compatible_pairs(d1: DataSet, d2: DataSet) -> list[tuple[int, int]]:
@@ -47,12 +62,8 @@ def compatible_pairs(d1: DataSet, d2: DataSet) -> list[tuple[int, int]]:
     b = _require_plain(d2, "d2")
     if a.degree != b.degree:
         return []
-    out = []
-    for i, p in enumerate(a.cone_pairs, 1):
-        for j, q in enumerate(b.cone_pairs, 1):
-            if p.order == q.order and (p.c + q.c) % p.order == 0:
-                out.append((i, j))
-    return out
+    return [(i, j) for i, p in enumerate(a.cone_pairs, 1)
+            for j, q in enumerate(b.cone_pairs, 1) if _compatible(p, q)]
 
 
 def _check_cone_index(d: DataSet, idx: int, name: str) -> ConePair:
@@ -60,6 +71,14 @@ def _check_cone_index(d: DataSet, idx: int, name: str) -> ConePair:
         raise ValueError(f"{name}={idx} is outside the cone index range "
                          f"1..{d.num_pairs}")
     return d.cone_pairs[idx - 1]
+
+
+def _check_self_pair(d: DataSet, r: int, s: int) -> None:
+    """Raise unless ``r < s`` index two compatible cones of ``d``."""
+    if not r < s:
+        raise ValueError(f"need r < s, got r={r}, s={s}")
+    _require_compatible(_check_cone_index(d, r, "r"),
+                        _check_cone_index(d, s, "s"))
 
 
 def glue(d1: DataSet, d2: DataSet, i: int, j: int) -> DataSet:
@@ -73,11 +92,8 @@ def glue(d1: DataSet, d2: DataSet, i: int, j: int) -> DataSet:
     b = _require_plain(d2, "d2")
     if a.degree != b.degree:
         raise ValueError(f"cannot glue degrees {a.degree} and {b.degree}")
-    p = _check_cone_index(a, i, "i")
-    q = _check_cone_index(b, j, "j")
-    if p.order != q.order or (p.c + q.c) % p.order != 0:
-        raise ValueError(f"cones ({p.c},{p.order}) and ({q.c},{q.order}) "
-                         "are not compatible")
+    _require_compatible(_check_cone_index(a, i, "i"),
+                        _check_cone_index(b, j, "j"))
     pairs = (a.cone_pairs[:i - 1] + a.cone_pairs[i:]
              + b.cone_pairs[:j - 1] + b.cone_pairs[j:])
     return DataSet(a.degree, a.quotient_genus + b.quotient_genus, 0, pairs)
@@ -91,13 +107,7 @@ def self_glue(d: DataSet, r: int, s: int) -> DataSet:
     a = _require_plain(d, "d")
     if a.num_pairs < 4:
         raise ValueError("self-gluing needs at least four cone pairs")
-    if not r < s:
-        raise ValueError(f"need r < s, got r={r}, s={s}")
-    p = _check_cone_index(a, r, "r")
-    q = _check_cone_index(a, s, "s")
-    if p.order != q.order or (p.c + q.c) % p.order != 0:
-        raise ValueError(f"cones ({p.c},{p.order}) and ({q.c},{q.order}) "
-                         "are not compatible")
+    _check_self_pair(a, r, s)
     pairs = tuple(pair for idx, pair in enumerate(a.cone_pairs, 1)
                   if idx not in (r, s))
     return DataSet(a.degree, a.quotient_genus + 1, 0, pairs)
@@ -162,7 +172,7 @@ def token_to_json(t: Token) -> dict:
         return {"op": "ext", "piece": t.piece, "sign": t.sign}
     if isinstance(t, Rot):
         return {"op": "rot", "orbit": t.orbit,
-                "slope": [t.slope.numerator, t.slope.denominator]}
+                "slope": _fraction_to_json(t.slope)}
     obj = {"op": "twist", "curve": t.curve, "power": t.power}
     if t.orbit is not None:
         obj["orbit"] = t.orbit
@@ -189,13 +199,10 @@ def boundary_slope(c: int, order: int, sign: str) -> Fraction:
 @dataclass(frozen=True)
 class GluingEdge:
     """One gluing: ``left``/``right`` are (piece id, cone index) slots;
-    ``orbit_order`` is the shared cone order m, ``orbit_size`` = degree/m
-    the number of glued annuli."""
+    :func:`build_edge` and :func:`assemble` check that their cones glue."""
 
     left: tuple[int, int]
     right: tuple[int, int]
-    orbit_order: int
-    orbit_size: int
 
 
 @dataclass(frozen=True)
@@ -222,13 +229,10 @@ def build_edge(pieces, left: tuple[int, int],
     if pa == pb:
         raise ValueError("an edge joins two distinct pieces; "
                          "use a self edge within one piece")
-    a = _check_cone_index(pieces[pa].base, ia, "left cone")
-    b = _check_cone_index(pieces[pb].base, ib, "right cone")
-    if a.order != b.order or (a.c + b.c) % a.order != 0:
-        raise ValueError(f"cones ({a.c},{a.order}) of piece {pa} and "
-                         f"({b.c},{b.order}) of piece {pb} are not compatible")
-    n = pieces[pa].degree
-    return GluingEdge((pa, ia), (pb, ib), a.order, n // a.order)
+    _require_compatible(_check_cone_index(pieces[pa].base, ia, "left cone"),
+                        _check_cone_index(pieces[pb].base, ib, "right cone"),
+                        f" of piece {pa}", f" of piece {pb}")
+    return GluingEdge((pa, ia), (pb, ib))
 
 
 @dataclass(frozen=True)
@@ -268,24 +272,6 @@ class AssemblyResult:
     ledger: BoundaryLedger
 
 
-class _PieceForest:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def assemble(a: Assembly) -> AssemblyResult:
     """Flatten an assembly to one marked data set, word and ledger.
 
@@ -304,10 +290,7 @@ def assemble(a: Assembly) -> AssemblyResult:
         if not (cls.kind == "type1" and cls.irreducible):
             raise ValueError(f"piece {k} is not an irreducible type 1 shape "
                              f"({cls.label}): {piece}")
-        l = piece.base.num_pairs
-        if not piece.marks or len(set(piece.marks)) != len(piece.marks) \
-                or not all(1 <= m <= l for m in piece.marks):
-            raise ValueError(f"piece {k} has malformed marks {piece.marks}")
+        _check_marks(piece, f"piece {k}: ")
     degree = pieces[0].degree
     if any(p.degree != degree for p in pieces):
         raise ValueError("all pieces must share one degree")
@@ -330,14 +313,10 @@ def assemble(a: Assembly) -> AssemblyResult:
                              "is glued more than once")
         glued.add(g)
 
-    forest = _PieceForest(len(pieces))
+    forest = _UnionFind(len(pieces))
     extra_quotient_genus = 0
     for e in a.edges:
-        checked = build_edge(pieces, e.left, e.right)
-        if (checked.orbit_order, checked.orbit_size) != \
-                (e.orbit_order, e.orbit_size):
-            raise ValueError("edge carries wrong orbit order/size; "
-                             "build it with build_edge")
+        build_edge(pieces, e.left, e.right)
         claim(*e.left)
         claim(*e.right)
         if not forest.union(e.left[0], e.right[0]):
@@ -345,13 +324,7 @@ def assemble(a: Assembly) -> AssemblyResult:
     for (p, r, s) in a.self_edges:
         if not 0 <= p < len(pieces):
             raise ValueError(f"piece id {p} is outside 0..{len(pieces) - 1}")
-        if not r < s:
-            raise ValueError(f"self edge needs r < s, got ({r},{s})")
-        cp = _check_cone_index(pieces[p].base, r, "r")
-        cq = _check_cone_index(pieces[p].base, s, "s")
-        if cp.order != cq.order or (cp.c + cq.c) % cp.order != 0:
-            raise ValueError(f"self edge cones ({cp.c},{cp.order}) and "
-                             f"({cq.c},{cq.order}) are not compatible")
+        _check_self_pair(pieces[p].base, r, s)
         claim(p, r)
         claim(p, s)
         extra_quotient_genus += 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .core import MarkedDataSet, genus
+from .core import MarkedDataSet, _check_marks, _fraction_to_json, genus
 from .gluing import Ext, MonodromyWord, Rot, Token, Twist, boundary_slope, word_to_json
 
 
@@ -72,13 +72,8 @@ def page_descriptor(m: MarkedDataSet) -> OpenBookDescriptor:
     """
     if not isinstance(m, MarkedDataSet):
         raise TypeError("page_descriptor needs a marked data set")
+    _check_marks(m)
     base = m.base
-    l = base.num_pairs
-    if not m.marks:
-        raise ValueError("the marked data set has an empty boundary")
-    if len(set(m.marks)) != len(m.marks) or \
-            not all(1 <= j <= l for j in m.marks):
-        raise ValueError(f"malformed marks {m.marks}")
 
     orbits = []
     for j in sorted(m.marks):
@@ -258,10 +253,8 @@ def descriptor_to_json(d: OpenBookDescriptor) -> dict:
             {
                 "orbit": o.mark,
                 "orbit_size": o.orbit_size,
-                "slope": [o.full_period_slope.numerator,
-                          o.full_period_slope.denominator],
-                "per_period_slope": [o.per_period_slope.numerator,
-                                     o.per_period_slope.denominator],
+                "slope": _fraction_to_json(o.full_period_slope),
+                "per_period_slope": _fraction_to_json(o.per_period_slope),
                 "invariant": o.invariant,
             }
             for o in d.boundary_orbits
@@ -272,16 +265,13 @@ def descriptor_to_json(d: OpenBookDescriptor) -> dict:
 
 
 def surgery_to_json(s: SurgeryDescription) -> dict:
-    def frac(x: Fraction | None):
-        return None if x is None else [x.numerator, x.denominator]
-
     return {"entries": [
         {
             "orbit": e.orbit,
-            "slope": frac(e.slope),
+            "slope": _fraction_to_json(e.slope),
             "kind": e.kind,
-            "topological": frac(e.topological),
-            "contact": frac(e.contact),
+            "topological": _fraction_to_json(e.topological),
+            "contact": _fraction_to_json(e.contact),
             "legendrian_realizable": e.legendrian_realizable,
         }
         for e in s.entries

@@ -21,21 +21,16 @@ class PolygonPresentation:
     """A polygon with paired sides and a rotation acting on it.
 
     ``pairing[i-1]`` is the 1-based partner of side ``i``; every side is
-    glued to its partner with reversed orientation (``orientation_reversed``
-    records this per side).  ``rotation_step`` is the index shift realizing
-    the rotation.  ``q``, ``j`` and ``z_offset`` are the pairing parameters;
-    ``outside_theorem`` flags inputs of genus < 2, where the polygon model
-    is emitted on a best-effort basis.
+    glued to its partner with reversed orientation.  ``rotation_step`` is
+    the index shift realizing the rotation.  ``outside_theorem`` flags
+    inputs of genus < 2, where the polygon model is emitted on a
+    best-effort basis.
     """
 
     sides: int
     pairing: tuple[int, ...]
-    orientation_reversed: tuple[bool, ...]
     rotation_step: int
     degree: int
-    q: int
-    j: int
-    z_offset: int
     outside_theorem: bool = False
 
 
@@ -100,12 +95,8 @@ def polygon_realization(d: DataSet) -> PolygonPresentation:
     return PolygonPresentation(
         sides=k,
         pairing=tuple(pairing),
-        orientation_reversed=(True,) * k,
         rotation_step=rotation_step,
         degree=n,
-        q=q,
-        j=j,
-        z_offset=z_offset,
         outside_theorem=genus(canon) < 2,
     )
 
@@ -120,10 +111,13 @@ class _UnionFind:
             a = self.parent[a]
         return a
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of ``a`` and ``b``; False if already one."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
     def components(self) -> int:
         return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)

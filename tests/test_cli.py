@@ -187,6 +187,20 @@ def test_fill_marked_and_assembly(capsys):
     assert code == 1
 
 
+def test_fill_rejects_malformed_marks(capsys):
+    for marks, message in [
+            ("[4]", "mark 4 is outside the cone index range 1..3"),
+            ("[3,3]", "mark indices must be distinct"),
+            ("[]", "marked data set has no marks")]:
+        for sign in "+-":
+            text = f"(6_{sign},0;(1,2),(1,3),(1,6),{marks})"
+            for extra in ([], ["--json"]):
+                code, out, err = run(["fill", text] + extra, capsys)
+                assert code == 1, text
+                assert out == ""
+                assert err == f"error: {message}\n"  # no traceback
+
+
 def test_profile_build_and_failures(tmp_path, capsys):
     csv_path = tmp_path / "p.csv"
     code, out, _ = run(["profile", "2", "1", "--csv", str(csv_path)], capsys)

@@ -76,6 +76,21 @@ def test_classify_irreducible_rejects_other_classes():
         classify_irreducible(ds("(2_+,0;(1,2),(1,2),(1,2),(1,2),[1])"))
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("marks,message", [
+    ("[4]", "mark 4 is outside the cone index range 1..3"),
+    ("[2,4]", "mark 4 is outside the cone index range 1..3"),
+    ("[3,3]", "mark indices must be distinct"),
+    ("[]", "marked data set has no marks"),
+])
+def test_classify_irreducible_rejects_malformed_marks(sign, marks, message):
+    m = ds(f"(6_{sign},0;(1,2),(1,3),(1,6),{marks})")
+    with pytest.raises(ValueError, match=message):
+        classify_irreducible(m)
+    with pytest.raises(ValueError, match=message):
+        classify_marked(m)
+
+
 def test_assembled_positive_pieces_are_stein():
     pieces = (
         ds("(6_+,0;(1,2),(1,3),(1,6),[3])"),

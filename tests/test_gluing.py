@@ -224,6 +224,23 @@ def test_assemble_structural_errors():
         assemble(Assembly(pieces, (edge, edge)))  # slot glued twice
     with pytest.raises(ValueError):
         assemble(Assembly((ds("(3_+,1;(1,3),(2,3),[1])"),)))  # not type 1 shape
+    for marks, message in [("[]", "piece 0: marked data set has no marks"),
+                           ("[1,1]", "piece 0: mark indices must be distinct"),
+                           ("[4]", "piece 0: mark 4 is outside the cone index "
+                                   "range 1..3")]:
+        piece = ds(f"(6_+,0;(1,2),(1,3),(1,6),{marks})")
+        with pytest.raises(ValueError, match=message):
+            assemble(Assembly((piece,)))
+    for self_edge, message in [
+            ((1, 1, 2), "piece id 1 is outside 0..0"),
+            ((-1, 1, 2), "piece id -1 is outside 0..0"),
+            ((0, 2, 1), "need r < s, got r=2, s=1"),
+            ((0, 2, 2), "need r < s, got r=2, s=2"),
+            ((0, 0, 1), "r=0 is outside the cone index range 1..3"),
+            ((0, 1, 4), "s=4 is outside the cone index range 1..3"),
+            ((0, 1, 2), r"cones \(1,2\) and \(1,3\) are not compatible")]:
+        with pytest.raises(ValueError, match=message):
+            assemble(Assembly((hex1,), (), (self_edge,)))
 
 
 def test_single_piece_assembly_is_identity_like():

@@ -73,8 +73,11 @@ def test_fdtc_requires_invariant_boundary():
 
 
 def test_page_descriptor_rejects_bad_marks():
-    with pytest.raises(ValueError):
-        page_descriptor(ds("(6_+,0;(1,2),(1,3),(1,6),[])"))
+    for marks, message in [("[]", "marked data set has no marks"),
+                           ("[3,3]", "mark indices must be distinct"),
+                           ("[1,4]", "mark 4 is outside the cone index range")]:
+        with pytest.raises(ValueError, match=message):
+            page_descriptor(ds(f"(6_+,0;(1,2),(1,3),(1,6),{marks})"))
 
 
 def test_boundary_count_sums_orbit_sizes():
