@@ -319,13 +319,16 @@ def canonicalize(d: DataSet) -> tuple[DataSet, tuple[int, ...]]:
 
 
 def canonicalize_marked(m: MarkedDataSet) -> tuple[MarkedDataSet, tuple[int, ...]]:
-    """Canonicalize the base and transport the marks along."""
+    """Canonicalize the base and transport the marks along.
+
+    Raises ``ValueError`` on a repeated or out-of-range mark.  Empty marks
+    pass, because gluing can consume every marked orbit.
+    """
+    if m.marks:
+        _check_marks(m)
     base, perm = canonicalize(m.base)
     inverse = {old: new for new, old in enumerate(perm, 1)}
-    try:
-        marks = tuple(sorted(inverse[j] for j in m.marks))
-    except KeyError as e:
-        raise ValueError(f"mark {e.args[0]} is outside the cone index range") from None
+    marks = tuple(sorted(inverse[j] for j in m.marks))
     return MarkedDataSet(base, m.sign, marks), perm
 
 

@@ -84,7 +84,9 @@ def verdict_to_json(v: FillabilityVerdict) -> dict:
     }
 
 
-def classify_irreducible(m: MarkedDataSet) -> FillabilityVerdict:
+def classify_irreducible(m: MarkedDataSet, *,
+                         _descriptor: OpenBookDescriptor | None = None,
+                         ) -> FillabilityVerdict:
     """Classify the contact structure of a marked irreducible data set.
 
     A positive extension is Stein fillable outright.  A negative extension
@@ -92,6 +94,7 @@ def classify_irreducible(m: MarkedDataSet) -> FillabilityVerdict:
     the resolved word is a product of negative boundary twists, hence
     left-veering, and the structure is overtwisted.  Raises ``ValueError``
     unless the base is irreducible type 1 and the marks are well formed.
+    ``_descriptor`` is ``page_descriptor(m)`` when the caller has it already.
     """
     label = classify(m.base).label
     if label != "type1-irreducible":
@@ -110,7 +113,7 @@ def classify_irreducible(m: MarkedDataSet) -> FillabilityVerdict:
             tuple(notes),
         )
 
-    descriptor = page_descriptor(m)
+    descriptor = page_descriptor(m) if _descriptor is None else _descriptor
     try:
         resolved = integral_resolution(descriptor)
     except UnsupportedResolution as exc:
@@ -225,12 +228,12 @@ def classify_marked(m: MarkedDataSet) -> FillabilityVerdict:
     skipped rather than treated as failures; when nothing fires the verdict
     is ``Unknown``.
     """
+    descriptor = page_descriptor(m)
     fired: list[FillabilityVerdict] = []
     try:
-        fired.append(classify_irreducible(m))
+        fired.append(classify_irreducible(m, _descriptor=descriptor))
     except ValueError:
         pass
-    descriptor = page_descriptor(m)
     if descriptor.positive_word:
         fired.append(classify_positive_word(descriptor))
 

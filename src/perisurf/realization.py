@@ -6,7 +6,9 @@ general, ``n`` sides when one of the first two cone orders is 2.  The side
 pairing is generated by an explicit index formula; we never trust it blindly
 — :func:`verify_realization` recomputes the surface genus from an Euler
 characteristic count over the identified polygon corners and checks that the
-pairing is a fixed-point-free involution commuting with the rotation.
+pairing is a fixed-point-free involution commuting with the rotation.  The
+corners glued to one vertex form one cycle of the corner permutation
+``c -> pairing[c] % sides``, so the vertex count is a cycle count.
 """
 
 from __future__ import annotations
@@ -67,7 +69,12 @@ def polygon_realization(d: DataSet) -> PolygonPresentation:
     if not report.valid:
         raise ValueError(f"cannot realize an invalid data set: "
                          f"{'; '.join(t for _, t in report.violations)}")
+    return _polygon(canon, genus(canon))
 
+
+def _polygon(canon: DataSet, g: int) -> PolygonPresentation:
+    # the polygon of a canonical, valid, irreducible type 1 data set of
+    # surface genus g; callers that already know all that skip the guards
     n = canon.degree
     p1, p2, p3 = canon.cone_pairs
     q = (n // p2.order) * mod_inverse(p3.c, n) % n
@@ -97,7 +104,7 @@ def polygon_realization(d: DataSet) -> PolygonPresentation:
         pairing=tuple(pairing),
         rotation_step=rotation_step,
         degree=n,
-        outside_theorem=genus(canon) < 2,
+        outside_theorem=g < 2,
     )
 
 
@@ -119,17 +126,17 @@ class _UnionFind:
         self.parent[ra] = rb
         return True
 
-    def components(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
-
 
 def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
     """Check a presentation against its data set; never raises.
 
-    The genus of the identified polygon is recomputed from scratch: corners
-    are merged with union-find according to the side gluings and the Euler
-    characteristic ``V - E + F`` is compared with the genus the degree/cone
-    data demand.
+    The genus of the identified polygon is recomputed from scratch: the
+    vertices are counted as the cycles of a permutation of the corners, and
+    the Euler characteristic ``V - E + F`` is compared with the genus the
+    degree/cone data demand.  Corner ``c`` starts side ``c+1``.  Once the
+    pairing is an involution, every gluing relation reads ``c ~ pairing[c]
+    % sides``, and that map is a permutation, so its cycles are the vertex
+    classes.
     """
     k = p.sides
     pairing = p.pairing
@@ -150,13 +157,19 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
     euler_genus = None
     if involution_ok:
         # side x runs corner x-1 -> corner x (mod k); gluing x reversed onto
-        # y identifies start(x) with end(y) and end(x) with start(y)
-        uf = _UnionFind(k)
-        for x in range(1, k + 1):
-            y = pairing[x - 1]
-            uf.union(x - 1, y % k)
-            uf.union(x % k, y - 1)
-        chi = uf.components() - k // 2 + 1
+        # y identifies start(x) with end(y) = y % k, and end(x) with
+        # start(y), which is the same relation read from side y
+        seen = bytearray(k)
+        vertices = 0
+        for start in range(k):
+            if seen[start]:
+                continue
+            vertices += 1
+            c = start
+            while not seen[c]:
+                seen[c] = 1
+                c = pairing[c] % k
+        chi = vertices - k // 2 + 1
         if chi <= 2 and (2 - chi) % 2 == 0:
             euler_genus = (2 - chi) // 2
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -7,6 +8,8 @@ from perisurf.census import (
     CensusQuery,
     CensusRecord,
     _divisors,
+    _residue_tuples,
+    _units,
     census,
     cyclic_degree_cap,
     degree_cap,
@@ -16,7 +19,13 @@ from perisurf.census import (
     read_census,
     write_census,
 )
-from perisurf.core import _rh_genus, format_data_set, parse_data_set, validate
+from perisurf.core import (
+    _rh_genus,
+    format_data_set,
+    genus,
+    parse_data_set,
+    validate,
+)
 
 
 def names(records):
@@ -133,6 +142,51 @@ def test_integer_rh_genus_matches_fraction_formula(n, g0, orders):
     want = _rh_genus_by_fractions(n, g0, orders)
     assert got == want
     assert str(got) == str(want)
+
+
+def _residue_tuples_by_filter(n, orders):
+    # reference: every canonical residue tuple, filtered at the leaves
+    runs = []
+    for o in orders:
+        if runs and runs[-1][0] == o:
+            runs[-1] = (o, runs[-1][1] + 1)
+        else:
+            runs.append((o, 1))
+    out = []
+
+    def rec(run_idx, weighted, acc):
+        if run_idx == len(runs):
+            if weighted % n == 0:
+                out.append(acc)
+            return
+        order, count = runs[run_idx]
+        for combo in combinations_with_replacement(_units(order), count):
+            rec(run_idx + 1, weighted + n // order * sum(combo), acc + combo)
+
+    rec(0, 0, ())
+    return out
+
+
+@given(st.integers(min_value=2, max_value=24).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(_divisors(n)),
+                                             min_size=1, max_size=4))))
+@example((12, [2, 3, 4, 12]))
+@example((8, [2, 2]))  # fails the lcm check
+def test_residue_tuples_match_filtered_enumeration(cell):
+    n, orders = cell
+    orders = tuple(sorted(orders))
+    assert _residue_tuples(n, orders) == _residue_tuples_by_filter(n, orders)
+
+
+@given(st.integers(min_value=0, max_value=12).flatmap(
+    lambda g: st.tuples(st.integers(min_value=1,
+                                    max_value=cyclic_degree_cap(max(g, 2))),
+                        st.just(g))))
+def test_everything_enumerated_validates_with_its_genus(cell):
+    n, g = cell
+    for d in enumerate_data_sets(n, g):
+        assert validate(d).valid, d
+        assert genus(d) == g
 
 
 def test_divisors_match_naive_list():

@@ -244,6 +244,20 @@ def test_canonicalize_marked_transports_marks():
     assert format_data_set(canon) == "(6_+,0;(1,2),(1,3),(1,6),[2,3])"
 
 
+def test_canonicalize_marked_checks_marks():
+    with pytest.raises(ValueError, match="distinct"):
+        canonicalize_marked(ds("(6_+,0;(1,2),(1,3),(1,6),[3,3])"))
+    with pytest.raises(ValueError, match="range 1..3"):
+        canonicalize_marked(ds("(6_+,0;(1,2),(1,3),(1,6),[4])"))
+    # gluing can consume every marked orbit, so no marks is allowed here
+    m = ds("(6_+,0;(1,6),(1,2),(1,3),[1])")
+    empty = MarkedDataSet(m.base, "+", ())
+    canon, perm = canonicalize_marked(empty)
+    assert canon.marks == ()
+    assert format_data_set(canon) == "(6_+,0;(1,2),(1,3),(1,6),[])"
+    assert perm == (2, 3, 1)
+
+
 # --- text round trips -------------------------------------------------------
 
 def test_parse_examples():

@@ -211,6 +211,22 @@ def test_classify_marked_merges_rules():
     assert v.certificate == "none"
 
 
+def test_classify_marked_builds_one_page_descriptor(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return page_descriptor(m)
+
+    monkeypatch.setattr("perisurf.fillability.page_descriptor", counting)
+    for text, verdict in [("(6_-,0;(1,2),(2,3),(5,6),[3])", "Overtwisted"),
+                          ("(6_-,0;(1,2),(1,3),(1,6),[2])", "Unknown"),
+                          ("(6_+,0;(1,2),(1,3),(1,6),[3])", "SteinFillable")]:
+        calls.clear()
+        assert classify_marked(ds(text)).verdict == verdict
+        assert len(calls) == 1, text
+
+
 def test_verdict_certificate_pairing_enforced():
     with pytest.raises(ValueError):
         FillabilityVerdict("Unknown", "positive-assembly")
