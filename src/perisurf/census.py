@@ -29,6 +29,9 @@ of units, so :func:`perisurf.core.validate` runs once per order multiset, on
 its first emitted data set, rather than once per data set.  Tests hold every
 emitted data set valid over random cells, and the oracle equal to the
 generator on a grid.
+
+:func:`enumerate_irreducible` filters the generator's output by class
+rather than enumerating irreducible sets on its own.
 """
 
 from __future__ import annotations
@@ -250,22 +253,16 @@ def enumerate_oracle(degree: int, g: int) -> list[DataSet]:
 
 
 def enumerate_irreducible(degree: int) -> list[DataSet]:
-    """All valid irreducible type 1 data sets of this degree (any genus)."""
-    n = degree
-    if n < 2:
-        return []
-    found: set[DataSet] = set()
-    for a in _divisors(n):
-        for b in _divisors(n):
-            for c1 in _units(a):
-                for c2 in _units(b):
-                    c3 = (-((n // a) * c1 + (n // b) * c2)) % n
-                    if not 1 <= c3 < n or gcd(c3, n) != 1:
-                        continue
-                    d = DataSet(n, 0, 0,
-                                (ConePair(c1, a), ConePair(c2, b), ConePair(c3, n)))
-                    if validate(d).valid:
-                        found.add(canonicalize(d)[0])
+    """All valid irreducible type 1 data sets of this degree (any genus).
+
+    This filters :func:`enumerate_data_sets` by class.  An irreducible set
+    ``(n,0;(c1,a),(c2,b),(c3,n))`` has genus ``(n+1-n/a-n/b)/2`` by
+    Riemann-Hurwitz, at most ``(n-1)/2`` because ``n/a`` and ``n/b`` are at
+    least 1, so the cells of genus up to ``(n-1)//2`` hold every one.
+    """
+    found = [d for g in range((degree - 1) // 2 + 1)
+             for d in enumerate_data_sets(degree, g)
+             if classify(d).irreducible]
     return sorted(found, key=format_data_set)
 
 
@@ -282,6 +279,10 @@ class CensusQuery:
     def __post_init__(self) -> None:
         if (self.genus is None) == (self.max_genus is None):
             raise ValueError("set exactly one of genus / max_genus")
+        for name in ("genus", "max_genus"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         if self.degrees is not None:
             object.__setattr__(self, "degrees", tuple(self.degrees))
 
@@ -360,6 +361,9 @@ def record_to_json(r: CensusRecord) -> dict:
 
 
 def record_from_json(obj: dict) -> CensusRecord:
+    if not isinstance(obj, dict):
+        raise ValueError("a census record is a JSON object, "
+                         f"got {type(obj).__name__}")
     fields = {k: v for k, v in obj.items()
               if k not in ("genus", "class", "polygon_verified")}
     d = data_set_from_json(fields)

@@ -5,6 +5,11 @@ Every subcommand accepts ``--json`` for machine-readable output; setting
 1 when the input is outside a command's domain (incompatible gluing,
 non-integral genus, failed verification, ...), 2 for usage and syntax
 errors.
+
+Each ``_cmd_*`` handler returns ``(exit code, payload, lines)`` and prints
+nothing itself.  :func:`main` prints the payload as indented JSON when JSON
+is wanted and the payload is not ``None``, and the text lines otherwise;
+``census`` has no payload because it writes JSON lines in both modes.
 """
 
 from __future__ import annotations
@@ -68,13 +73,8 @@ from .realization import draw_polygon_svg, polygon_realization, verify_realizati
 
 
 def _wants_json(args) -> bool:
-    if getattr(args, "json", False):
-        return True
-    return os.environ.get("PERISURF_FORMAT", "").strip().lower() == "json"
-
-
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    return args.json or \
+        os.environ.get("PERISURF_FORMAT", "").strip().lower() == "json"
 
 
 def _token_str(t) -> str:
@@ -103,6 +103,14 @@ def _parse_at(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
+def _degrees(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated degrees, got {text!r}") from None
+
+
 def _parse_edge(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
     """Parse ``(a:i)~(b:j)``: cone ``a`` of piece ``i`` meets cone ``b`` of
     piece ``j``; pieces are numbered from 1 on the command line."""
@@ -125,7 +133,7 @@ def _parse_marked(text: str) -> MarkedDataSet:
 
 
 def _build_assembly(args) -> Assembly:
-    if getattr(args, "file", None):
+    if args.file:
         if args.file == "-":
             payload = json.load(sys.stdin)
         else:
@@ -151,304 +159,237 @@ def _build_assembly(args) -> Assembly:
 # --- subcommand handlers ------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     report = validate(parse_data_set(args.data_set))
-    if _wants_json(args):
-        _print_json(validation_report_to_json(report))
-    elif report.valid:
-        print("valid")
-    else:
-        for ident, detail in report.violations:
-            print(f"({ident}) {detail}")
-    return 0 if report.valid else 1
+    lines = ["valid"] if report.valid else \
+        [f"({ident}) {detail}" for ident, detail in report.violations]
+    return (0 if report.valid else 1), validation_report_to_json(report), lines
 
 
-def _cmd_genus(args) -> int:
+def _cmd_genus(args):
     g = genus(parse_data_set(args.data_set))
-    if _wants_json(args):
-        _print_json({"genus": g})
-    else:
-        print(g)
-    return 0
+    return 0, {"genus": g}, [str(g)]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     ac = classify(parse_data_set(args.data_set))
-    if _wants_json(args):
-        _print_json({"label": ac.label, "kind": ac.kind,
-                     "irreducible": ac.irreducible})
-    else:
-        print(ac.label)
-    return 0
+    return 0, {"label": ac.label, "kind": ac.kind,
+               "irreducible": ac.irreducible}, [ac.label]
 
 
-def _cmd_polygon(args) -> int:
+def _cmd_polygon(args):
     d = parse_data_set(args.data_set)
     pres = polygon_realization(d)
     report = verify_realization(pres, d)
-    svg_path = getattr(args, "svg", None)
-    if svg_path:
-        draw_polygon_svg(pres, svg_path)
-    if _wants_json(args):
-        payload = {
-            "sides": pres.sides,
-            "pairing": list(pres.pairing),
-            "rotation_step": pres.rotation_step,
-            "degree": pres.degree,
-            "outside_theorem": pres.outside_theorem,
-            "verification": {
-                "euler_genus": report.euler_genus,
-                "rh_genus": report.rh_genus,
-                "involution_ok": report.involution_ok,
-                "equivariance_ok": report.equivariance_ok,
-                "ok": report.ok,
-            },
-        }
-        if svg_path:
-            payload["svg"] = svg_path
-        _print_json(payload)
-    else:
-        print(f"sides: {pres.sides}")
-        pairs = sorted({tuple(sorted((i + 1, j)))
-                        for i, j in enumerate(pres.pairing)})
-        print("pairing: " + " ".join(f"{i}~{j}" for i, j in pairs))
-        print(f"rotation step: {pres.rotation_step}")
-        print(f"genus: {report.euler_genus} (expected {report.rh_genus})")
-        if pres.outside_theorem:
-            print("note: genus below 2, outside the guaranteed range")
-        print(f"verified: {'yes' if report.ok else 'NO'}")
-        if svg_path:
-            print(f"svg written to {svg_path}")
-    return 0 if report.ok else 1
+    if args.svg:
+        draw_polygon_svg(pres, args.svg)
+    payload = {
+        "sides": pres.sides,
+        "pairing": list(pres.pairing),
+        "rotation_step": pres.rotation_step,
+        "degree": pres.degree,
+        "outside_theorem": pres.outside_theorem,
+        "verification": {
+            "euler_genus": report.euler_genus,
+            "rh_genus": report.rh_genus,
+            "involution_ok": report.involution_ok,
+            "equivariance_ok": report.equivariance_ok,
+            "ok": report.ok,
+        },
+    }
+    pairs = sorted({tuple(sorted((i + 1, j)))
+                    for i, j in enumerate(pres.pairing)})
+    lines = [f"sides: {pres.sides}",
+             "pairing: " + " ".join(f"{i}~{j}" for i, j in pairs),
+             f"rotation step: {pres.rotation_step}",
+             f"genus: {report.euler_genus} (expected {report.rh_genus})"]
+    if pres.outside_theorem:
+        lines.append("note: genus below 2, outside the guaranteed range")
+    lines.append(f"verified: {'yes' if report.ok else 'NO'}")
+    if args.svg:
+        payload["svg"] = args.svg
+        lines.append(f"svg written to {args.svg}")
+    return (0 if report.ok else 1), payload, lines
 
 
-def _cmd_glue(args) -> int:
+def _cmd_glue(args):
     d1 = parse_data_set(args.first)
     d2 = parse_data_set(args.second)
     if args.at is None:
         pairs = compatible_pairs(d1, d2)
-        if _wants_json(args):
-            _print_json({"compatible": [list(p) for p in pairs]})
-        else:
-            print(" ".join(f"{i}:{j}" for i, j in pairs) if pairs
-                  else "no compatible cone pairs")
-        return 0
+        return 0, {"compatible": [list(p) for p in pairs]}, [
+            " ".join(f"{i}:{j}" for i, j in pairs) if pairs
+            else "no compatible cone pairs"]
     i, j = _parse_at(args.at)
     glued = canonicalize(glue(d1, d2, i, j))[0]
-    if _wants_json(args):
-        _print_json(data_set_to_json(glued))
-    else:
-        print(format_data_set(glued))
-    return 0
+    return 0, data_set_to_json(glued), [format_data_set(glued)]
 
 
-def _cmd_self_glue(args) -> int:
+def _cmd_self_glue(args):
     r, s = _parse_at(args.at)
     glued = canonicalize(self_glue(parse_data_set(args.data_set), r, s))[0]
-    if _wants_json(args):
-        _print_json(data_set_to_json(glued))
-    else:
-        print(format_data_set(glued))
-    return 0
+    return 0, data_set_to_json(glued), [format_data_set(glued)]
 
 
-def _boundary_json(result) -> list[dict]:
-    return [{"piece": e.piece, "mark": e.mark, "consumed": e.consumed,
-             "output_index": e.output_index}
-            for e in result.ledger.entries]
-
-
-def _cmd_assemble(args) -> int:
+def _cmd_assemble(args):
     result = assemble(_build_assembly(args))
-    if _wants_json(args):
-        _print_json({
-            "data_set": data_set_to_json(result.data_set),
-            "genus": genus(result.data_set),
-            "word": word_to_json(result.word),
-            "boundary": _boundary_json(result),
-            "mixed_signs": result.ledger.mixed_signs,
-        })
-        return 0
-    print(format_data_set(result.data_set))
-    print(f"genus: {genus(result.data_set)}")
-    print(f"word: {_word_str(result.word)}")
-    for e in result.ledger.entries:
-        where = "glued" if e.consumed else f"kept as output {e.output_index}"
-        print(f"piece {e.piece + 1} mark {e.mark}: {where}")
+    g = genus(result.data_set)
+    entries = result.ledger.entries
+    payload = {
+        "data_set": data_set_to_json(result.data_set),
+        "genus": g,
+        "word": word_to_json(result.word),
+        "boundary": [{"piece": e.piece, "mark": e.mark,
+                      "consumed": e.consumed, "output_index": e.output_index}
+                     for e in entries],
+        "mixed_signs": result.ledger.mixed_signs,
+    }
+    lines = [format_data_set(result.data_set),
+             f"genus: {g}",
+             f"word: {_word_str(result.word)}"]
+    lines += [f"piece {e.piece + 1} mark {e.mark}: "
+              + ("glued" if e.consumed else f"kept as output {e.output_index}")
+              for e in entries]
     if result.ledger.mixed_signs:
-        print("note: pieces carry mixed signs")
-    return 0
+        lines.append("note: pieces carry mixed signs")
+    return 0, payload, lines
 
 
-def _print_descriptor(d) -> None:
-    print(f"page genus: {d.page_genus}")
+def _descriptor(args):
+    return page_descriptor(_parse_marked(args.data_set))
+
+
+def _descriptor_lines(d) -> list[str]:
+    lines = [f"page genus: {d.page_genus}"]
     for o in d.boundary_orbits:
         circles = "1 circle" if o.orbit_size == 1 else f"{o.orbit_size} circles"
         tail = "invariant" if o.invariant else \
             f"per period {o.per_period_slope}"
-        print(f"orbit {o.mark}: {circles}, slope {o.full_period_slope}"
-              f" ({tail})")
-    print(f"word: {_word_str(d.monodromy)}")
-    print(f"positive word: {'yes' if d.positive_word else 'no'}")
+        lines.append(f"orbit {o.mark}: {circles}, "
+                     f"slope {o.full_period_slope} ({tail})")
+    return lines + [f"word: {_word_str(d.monodromy)}",
+                    f"positive word: {'yes' if d.positive_word else 'no'}"]
 
 
-def _cmd_page(args) -> int:
-    d = page_descriptor(_parse_marked(args.data_set))
-    if _wants_json(args):
-        _print_json(descriptor_to_json(d))
-    else:
-        _print_descriptor(d)
-    return 0
+def _cmd_page(args):
+    d = _descriptor(args)
+    return 0, descriptor_to_json(d), _descriptor_lines(d)
 
 
-def _cmd_veering(args) -> int:
-    v = veering(page_descriptor(_parse_marked(args.data_set)))
-    if _wants_json(args):
-        _print_json({"veering": v.value})
-    else:
-        print(v.value)
-    return 0
+def _cmd_veering(args):
+    v = veering(_descriptor(args))
+    return 0, {"veering": v.value}, [v.value]
 
 
-def _cmd_surgery(args) -> int:
-    desc = surgery_description(page_descriptor(_parse_marked(args.data_set)))
-    if _wants_json(args):
-        _print_json(surgery_to_json(desc))
-        return 0
+def _cmd_surgery(args):
+    desc = surgery_description(_descriptor(args))
+    lines = []
     for e in desc.entries:
         if e.kind == "none":
-            print(f"orbit {e.orbit}: no surgery")
+            lines.append(f"orbit {e.orbit}: no surgery")
             continue
         line = (f"orbit {e.orbit}: {e.kind} surgery, "
                 f"topological {e.topological}, "
                 f"contact {e.contact}")
         if e.legendrian_realizable:
             line += " (legendrian)"
-        print(line)
-    return 0
+        lines.append(line)
+    return 0, surgery_to_json(desc), lines
 
 
-def _cmd_resolve(args) -> int:
-    resolved = integral_resolution(page_descriptor(_parse_marked(args.data_set)))
-    if _wants_json(args):
-        _print_json(descriptor_to_json(resolved))
-    else:
-        _print_descriptor(resolved)
-    return 0
+def _cmd_resolve(args):
+    resolved = integral_resolution(_descriptor(args))
+    return 0, descriptor_to_json(resolved), _descriptor_lines(resolved)
 
 
-def _verdict_headline(v) -> str:
-    if v.verdict == "Unknown":
-        return "Unknown"
-    if v.certificate == "left-veering-resolution" and v.notes:
-        return f"{v.verdict} ({v.notes[0]})"
-    return f"{v.verdict} ({v.certificate})"
-
-
-def _cmd_fill(args) -> int:
+def _cmd_fill(args):
     assembly_mode = bool(args.file or args.edge or args.self_edge
                          or len(args.pieces) > 1)
     if assembly_mode:
-        verdict = classify_assembly(_build_assembly(args))
+        v = classify_assembly(_build_assembly(args))
     else:
         if not args.pieces:
             raise ValueError("fill needs a marked data set or an assembly")
-        verdict = classify_marked(_parse_marked(args.pieces[0]))
-    if _wants_json(args):
-        _print_json(verdict_to_json(verdict))
-        return 0
-    headline = _verdict_headline(verdict)
-    print(headline)
-    for name, held in verdict.hypotheses:
-        print(f"  - {name}: {'yes' if held else 'no'}")
-    for note in verdict.notes:
-        if note not in headline:
-            print(f"  note: {note}")
-    return 0
+        v = classify_marked(_parse_marked(args.pieces[0]))
+    if v.verdict == "Unknown":
+        headline = "Unknown"
+    elif v.certificate == "left-veering-resolution" and v.notes:
+        headline = f"{v.verdict} ({v.notes[0]})"
+    else:
+        headline = f"{v.verdict} ({v.certificate})"
+    lines = [headline]
+    lines += [f"  - {name}: {'yes' if held else 'no'}"
+              for name, held in v.hypotheses]
+    lines += [f"  note: {note}" for note in v.notes if note not in headline]
+    return 0, verdict_to_json(v), lines
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args):
     # without --samples each path keeps its own default grid
     samples = {} if args.samples is None else {"samples": args.samples}
     if args.search:
         pp = search_profiles(args.p, args.q, candidates=args.candidates,
                              tolerance=args.tolerance, **samples)
         if pp is None:
-            if _wants_json(args):
-                _print_json({"found": False})
-            else:
-                print("no verified profile found")
-            return 1
-        report = verify_profile(pp, args.tolerance)
+            return 1, {"found": False}, ["no verified profile found"]
     else:
         pp = build_profile(args.p, args.q, args.K, args.H,
                            peak=args.peak, **samples)
-        report = verify_profile(pp, args.tolerance)
+    # the search keeps only pass or fail: it drops a shape at its first
+    # failure and records no inconclusive samples, so this pass builds the
+    # report for both paths
+    report = verify_profile(pp, args.tolerance)
     if args.csv:
         write_profile_csv(pp, args.csv)
-    if _wants_json(args):
-        payload = {
-            "p": pp.p, "q": pp.q, "K": pp.K, "H": pp.H,
-            "samples": len(pp.grid),
-            "contact_ok": report.contact_ok,
-            "symplectic_ok": report.symplectic_ok,
-            "ok": report.ok,
-            "first_violation": list(report.first_violation)
-            if report.first_violation else None,
-            "inconclusive": len(report.inconclusive),
-        }
-        if args.search:
-            payload["found"] = True
-        if args.csv:
-            payload["csv"] = args.csv
-        _print_json(payload)
-        return 0 if report.ok else 1
-    print(f"profile p={pp.p} q={pp.q} K={pp.K} H={pp.H} "
-          f"samples={len(pp.grid)}")
-    for name, ok in (("contact", report.contact_ok),
-                     ("symplectic", report.symplectic_ok)):
-        print(f"{name}: {'ok' if ok else 'FAILED'}")
+    payload = {
+        "p": pp.p, "q": pp.q, "K": pp.K, "H": pp.H,
+        "samples": len(pp.grid),
+        "contact_ok": report.contact_ok,
+        "symplectic_ok": report.symplectic_ok,
+        "ok": report.ok,
+        "first_violation": list(report.first_violation)
+        if report.first_violation else None,
+        "inconclusive": len(report.inconclusive),
+    }
+    if args.search:
+        payload["found"] = True
+    lines = [f"profile p={pp.p} q={pp.q} K={pp.K} H={pp.H} "
+             f"samples={len(pp.grid)}"]
+    lines += [f"{name}: {'ok' if ok else 'FAILED'}"
+              for name, ok in (("contact", report.contact_ok),
+                               ("symplectic", report.symplectic_ok))]
     if report.first_violation:
         r, cond, value = report.first_violation
-        print(f"first violation: {cond} at r={r:.6g} (value {value:.6g})")
+        lines.append(f"first violation: {cond} at r={r:.6g} "
+                     f"(value {value:.6g})")
     if report.inconclusive:
-        print(f"inconclusive samples: {len(report.inconclusive)}")
+        lines.append(f"inconclusive samples: {len(report.inconclusive)}")
     if args.csv:
-        print(f"csv written to {args.csv}")
-    print("verified" if report.ok else "not verified")
-    return 0 if report.ok else 1
+        payload["csv"] = args.csv
+        lines.append(f"csv written to {args.csv}")
+    lines.append("verified" if report.ok else "not verified")
+    return (0 if report.ok else 1), payload, lines
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     fn = enumerate_oracle if args.oracle else enumerate_data_sets
-    found = fn(args.degree, args.genus)
-    if _wants_json(args):
-        _print_json({"degree": args.degree, "genus": args.genus,
-                     "count": len(found),
-                     "data_sets": [format_data_set(d) for d in found]})
-    else:
-        for d in found:
-            print(format_data_set(d))
-    return 0
+    names = [format_data_set(d) for d in fn(args.degree, args.genus)]
+    return 0, {"degree": args.degree, "genus": args.genus,
+               "count": len(names), "data_sets": names}, names
 
 
-def _cmd_census(args) -> int:
-    degrees = None
-    if args.degrees:
-        degrees = tuple(int(x) for x in args.degrees.split(","))
+def _cmd_census(args):
+    # JSON lines in either output mode, hence no payload
     query = CensusQuery(genus=args.genus, max_genus=args.max_genus,
-                        degrees=degrees, action_class=args.action_class)
+                        degrees=args.degrees, action_class=args.action_class)
     records = census(query, workers=args.workers, oracle=args.oracle)
     lines = [json.dumps(record_to_json(r), separators=(",", ":"))
              for r in records]
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write("".join(line + "\n" for line in lines))
-        print(f"{len(records)} records written to {args.output}")
-    else:
-        for line in lines:
-            print(line)
-    return 0
+    if not args.output:
+        return 0, None, lines
+    with open(args.output, "w") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    return 0, None, [f"{len(records)} records written to {args.output}"]
 
 
 # --- parser -------------------------------------------------------------------
@@ -460,39 +401,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="combinatorics of periodic surface maps via data sets")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, **kwargs):
-        p = sub.add_parser(name, help=help_text, **kwargs)
+    def add(name, handler, help_text, *positionals):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true",
                        help="emit JSON (also via PERISURF_FORMAT=json)")
+        for dest in positionals:
+            p.add_argument(dest)
         p.set_defaults(func=handler)
         return p
 
-    p = add("validate", _cmd_validate,
-            "check the admissibility conditions (exit 1 when invalid)")
-    p.add_argument("data_set")
-
-    p = add("genus", _cmd_genus, "genus of the surface the data set lives on")
-    p.add_argument("data_set")
-
-    p = add("classify", _cmd_classify,
-            "action class: rotational, type1[-irreducible] or type2")
-    p.add_argument("data_set")
+    add("validate", _cmd_validate,
+        "check the admissibility conditions (exit 1 when invalid)", "data_set")
+    add("genus", _cmd_genus, "genus of the surface the data set lives on",
+        "data_set")
+    add("classify", _cmd_classify,
+        "action class: rotational, type1[-irreducible] or type2", "data_set")
 
     p = add("polygon", _cmd_polygon,
-            "polygon side pairing realizing an irreducible data set")
-    p.add_argument("data_set")
+            "polygon side pairing realizing an irreducible data set",
+            "data_set")
     p.add_argument("--svg", metavar="PATH", help="draw the pairing to a file")
 
     p = add("glue", _cmd_glue,
-            "glue two data sets (omit --at to list compatible cone pairs)")
-    p.add_argument("first")
-    p.add_argument("second")
+            "glue two data sets (omit --at to list compatible cone pairs)",
+            "first", "second")
     p.add_argument("--at", metavar="I:J",
                    help="cone of the first set : cone of the second")
 
     p = add("self-glue", _cmd_self_glue,
-            "glue two compatible cones of one data set")
-    p.add_argument("data_set")
+            "glue two compatible cones of one data set", "data_set")
     p.add_argument("--at", metavar="R:S", required=True)
 
     for name, handler, help_text in (
@@ -517,8 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("surgery", _cmd_surgery, "surgery description of the binding"),
             ("resolve", _cmd_resolve,
              "resolve -1/p boundary rotations into integral twists")):
-        p = add(name, handler, help_text)
-        p.add_argument("data_set")
+        add(name, handler, help_text, "data_set")
 
     p = add("profile", _cmd_profile,
             "build and verify a filling profile for slope q/p "
@@ -552,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--genus", type=int)
     group.add_argument("--max-genus", type=int, dest="max_genus")
-    p.add_argument("--degrees", metavar="N,N,...",
+    p.add_argument("--degrees", metavar="N,N,...", type=_degrees,
                    help="restrict to these degrees")
     p.add_argument("--class", dest="action_class",
                    choices=("rotational", "type1", "type1-irreducible", "type2"),
@@ -568,19 +504,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        # printing stays inside the try: a closed pipe is an OSError too
+        if payload is not None and _wants_json(args):
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -523,6 +523,8 @@ def data_set_to_json(d: DataSet | MarkedDataSet) -> dict:
 
 
 def data_set_from_json(obj: dict) -> DataSet | MarkedDataSet:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a data set is a JSON object, got {type(obj).__name__}")
     try:
         base = DataSet(
             obj["degree"], obj["quotient_genus"], obj["rotation"],

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -21,6 +22,7 @@ from perisurf.census import (
 )
 from perisurf.core import (
     _rh_genus,
+    data_set_from_json,
     format_data_set,
     genus,
     parse_data_set,
@@ -221,6 +223,9 @@ def test_census_query_validation():
         CensusQuery()
     with pytest.raises(ValueError):
         CensusQuery(genus=2, max_genus=3)
+    for bad in ({"genus": -1}, {"max_genus": -1}):
+        with pytest.raises(ValueError, match="non-negative"):
+            CensusQuery(**bad)
     with pytest.raises(ValueError):
         census(CensusQuery(genus=1), workers=1)  # unbounded without degrees
 
@@ -268,3 +273,13 @@ def test_read_census_reports_line_numbers(tmp_path):
                     "not json\n")
     with pytest.raises(ValueError, match="line 2"):
         read_census(path)
+
+
+@pytest.mark.parametrize("line", ["[1,2]", '"x"'])
+def test_read_census_rejects_json_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match="line 1: a census record is a JSON"):
+        read_census(path)
+    with pytest.raises(ValueError, match="a data set is a JSON object"):
+        data_set_from_json(json.loads(line))

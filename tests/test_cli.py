@@ -282,6 +282,20 @@ def test_census_stream_and_file(tmp_path, capsys):
     code, _, err = run(["census", "--genus", "1", "--workers", "1"], capsys)
     assert code == 1  # unbounded without degrees
 
+    code, _, err = run(["census", "--genus", "2", "--degrees", "x"], capsys)
+    assert code == 2 and "comma-separated degrees" in err
+
+    code, out, err = run(["census", "--max-genus", "-1"], capsys)
+    assert (code, out) == (1, "")
+    assert "max_genus must be non-negative" in err
+
+
+def test_census_prints_json_lines_in_both_modes(capsys):
+    argv = ["census", "--genus", "2", "--degrees", "5,6", "--workers", "1"]
+    code, plain, _ = run(argv, capsys)
+    assert code == 0 and plain
+    assert run(argv + ["--json"], capsys) == (0, plain, "")
+
 
 def test_format_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("PERISURF_FORMAT", "json")
@@ -292,3 +306,14 @@ def test_format_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("PERISURF_FORMAT", "text")
     code, out, _ = run(["genus", "(6,0;(1,2),(1,3),(1,6))"], capsys)
     assert out.strip() == "1"
+
+
+def test_closed_stdout_is_an_error_exit(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    code = main(["genus", "(6,0;(1,2),(1,3),(1,6))"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"

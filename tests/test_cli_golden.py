@@ -4,7 +4,8 @@ Each command of the README's "Command line" list runs in process, with and
 without ``--json``, inside a scratch directory so that ``--svg`` and
 ``--output`` paths print the same way every time.  The exit code, the sha256
 of stdout and the sha256 of every file the command writes must match
-``tests/cli_golden.json``.
+``tests/cli_golden.json``.  With ``PERISURF_FORMAT=json`` set in place of
+``--json``, each command must give the same digests as with ``--json``.
 
 Regenerate the golden file (only when an output change is intended) with::
 
@@ -86,6 +87,15 @@ def test_readme_command_matches_golden(argv, files, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert _run(argv, files) == golden[_key(argv)]
+
+
+@pytest.mark.parametrize("argv,files", README_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+def test_format_env_matches_json_flag(argv, files, tmp_path, monkeypatch):
+    monkeypatch.setenv("PERISURF_FORMAT", "json")
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert _run(argv, files) == golden[_key(argv + ["--json"])]
 
 
 def test_golden_file_covers_exactly_the_readme_commands():
