@@ -319,10 +319,13 @@ def census(query: CensusQuery, *, workers: int | None = None,
            oracle: bool = False) -> list[CensusRecord]:
     """Run a census; deterministic output order (genus, then degree).
 
-    ``workers`` caps the process pool (default: available parallelism); the
-    degree/genus grid is the partition unit, so results are independent of
-    the worker count.
+    ``workers`` caps the process pool (default: available parallelism; 1
+    runs serially); the degree/genus grid is the partition unit, so results
+    are independent of the worker count.  Raises ``ValueError`` when
+    ``workers`` is below 1.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     tasks: list[tuple[int, int, bool]] = []
     for g in query.genus_range():
         if query.degrees is not None:

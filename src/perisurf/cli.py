@@ -10,6 +10,10 @@ Each ``_cmd_*`` handler returns ``(exit code, payload, lines)`` and prints
 nothing itself.  :func:`main` prints the payload as indented JSON when JSON
 is wanted and the payload is not ``None``, and the text lines otherwise;
 ``census`` has no payload because it writes JSON lines in both modes.
+
+Only :mod:`perisurf.core` is imported with this module.  Each handler
+imports what it uses from the other modules, so a command loads only those:
+``genus``, ``validate`` and ``classify`` load none of them.
 """
 
 from __future__ import annotations
@@ -20,13 +24,6 @@ import os
 import re
 import sys
 
-from .census import (
-    CensusQuery,
-    census,
-    enumerate_data_sets,
-    enumerate_oracle,
-    record_to_json,
-)
 from .core import (
     MarkedDataSet,
     ParseError,
@@ -39,37 +36,6 @@ from .core import (
     validate,
     validation_report_to_json,
 )
-from .fillability import (
-    build_profile,
-    classify_assembly,
-    classify_marked,
-    search_profiles,
-    verdict_to_json,
-    verify_profile,
-    write_profile_csv,
-)
-from .gluing import (
-    Assembly,
-    Ext,
-    Rot,
-    Twist,
-    assemble,
-    assembly_from_json,
-    build_edge,
-    compatible_pairs,
-    glue,
-    self_glue,
-    word_to_json,
-)
-from .openbook import (
-    descriptor_to_json,
-    integral_resolution,
-    page_descriptor,
-    surgery_description,
-    surgery_to_json,
-    veering,
-)
-from .realization import draw_polygon_svg, polygon_realization, verify_realization
 
 
 def _wants_json(args) -> bool:
@@ -78,6 +44,8 @@ def _wants_json(args) -> bool:
 
 
 def _token_str(t) -> str:
+    from .gluing import Ext, Rot, Twist
+
     if isinstance(t, Ext):
         return f"ext({t.piece},{t.sign})"
     if isinstance(t, Twist):
@@ -111,6 +79,17 @@ def _degrees(text: str) -> tuple[int, ...]:
             f"expected comma-separated degrees, got {text!r}") from None
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_edge(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
     """Parse ``(a:i)~(b:j)``: cone ``a`` of piece ``i`` meets cone ``b`` of
     piece ``j``; pieces are numbered from 1 on the command line."""
@@ -132,7 +111,9 @@ def _parse_marked(text: str) -> MarkedDataSet:
     return d
 
 
-def _build_assembly(args) -> Assembly:
+def _build_assembly(args):
+    from .gluing import Assembly, assembly_from_json, build_edge
+
     if args.file:
         if args.file == "-":
             payload = json.load(sys.stdin)
@@ -178,6 +159,9 @@ def _cmd_classify(args):
 
 
 def _cmd_polygon(args):
+    from .realization import (draw_polygon_svg, polygon_realization,
+                              verify_realization)
+
     d = parse_data_set(args.data_set)
     pres = polygon_realization(d)
     report = verify_realization(pres, d)
@@ -213,6 +197,8 @@ def _cmd_polygon(args):
 
 
 def _cmd_glue(args):
+    from .gluing import compatible_pairs, glue
+
     d1 = parse_data_set(args.first)
     d2 = parse_data_set(args.second)
     if args.at is None:
@@ -226,12 +212,16 @@ def _cmd_glue(args):
 
 
 def _cmd_self_glue(args):
+    from .gluing import self_glue
+
     r, s = _parse_at(args.at)
     glued = canonicalize(self_glue(parse_data_set(args.data_set), r, s))[0]
     return 0, data_set_to_json(glued), [format_data_set(glued)]
 
 
 def _cmd_assemble(args):
+    from .gluing import assemble, word_to_json
+
     result = assemble(_build_assembly(args))
     g = genus(result.data_set)
     entries = result.ledger.entries
@@ -256,6 +246,8 @@ def _cmd_assemble(args):
 
 
 def _descriptor(args):
+    from .openbook import page_descriptor
+
     return page_descriptor(_parse_marked(args.data_set))
 
 
@@ -272,16 +264,22 @@ def _descriptor_lines(d) -> list[str]:
 
 
 def _cmd_page(args):
+    from .openbook import descriptor_to_json
+
     d = _descriptor(args)
     return 0, descriptor_to_json(d), _descriptor_lines(d)
 
 
 def _cmd_veering(args):
+    from .openbook import veering
+
     v = veering(_descriptor(args))
     return 0, {"veering": v.value}, [v.value]
 
 
 def _cmd_surgery(args):
+    from .openbook import surgery_description, surgery_to_json
+
     desc = surgery_description(_descriptor(args))
     lines = []
     for e in desc.entries:
@@ -298,11 +296,15 @@ def _cmd_surgery(args):
 
 
 def _cmd_resolve(args):
+    from .openbook import descriptor_to_json, integral_resolution
+
     resolved = integral_resolution(_descriptor(args))
     return 0, descriptor_to_json(resolved), _descriptor_lines(resolved)
 
 
 def _cmd_fill(args):
+    from .fillability import classify_assembly, classify_marked, verdict_to_json
+
     assembly_mode = bool(args.file or args.edge or args.self_edge
                          or len(args.pieces) > 1)
     if assembly_mode:
@@ -325,6 +327,9 @@ def _cmd_fill(args):
 
 
 def _cmd_profile(args):
+    from .fillability import (build_profile, search_profiles, verify_profile,
+                              write_profile_csv)
+
     # without --samples each path keeps its own default grid
     samples = {} if args.samples is None else {"samples": args.samples}
     if args.search:
@@ -372,6 +377,8 @@ def _cmd_profile(args):
 
 
 def _cmd_enumerate(args):
+    from .census import enumerate_data_sets, enumerate_oracle
+
     fn = enumerate_oracle if args.oracle else enumerate_data_sets
     names = [format_data_set(d) for d in fn(args.degree, args.genus)]
     return 0, {"degree": args.degree, "genus": args.genus,
@@ -379,6 +386,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_census(args):
+    from .census import CensusQuery, census, record_to_json
+
     # JSON lines in either output mode, hence no payload
     query = CensusQuery(genus=args.genus, max_genus=args.max_genus,
                         degrees=args.degrees, action_class=args.action_class)
@@ -473,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH", help="dump r,f0,g0 samples")
     p.add_argument("--search", action="store_true",
                    help="scan (K,H,peak) shapes instead of building one")
-    p.add_argument("--candidates", type=int, default=1000,
+    p.add_argument("--candidates", type=_count, default=1000,
                    help="search budget with --search")
 
     p = add("enumerate", _cmd_enumerate,
@@ -493,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="action_class",
                    choices=("rotational", "type1", "type1-irreducible", "type2"),
                    help="keep one action class")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_count, default=None,
                    help="process pool size (default: all cores)")
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force enumerator")

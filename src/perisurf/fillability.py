@@ -180,6 +180,17 @@ def classify_positive_word(d: OpenBookDescriptor) -> FillabilityVerdict:
     Slopes strictly between zero and one on every binding orbit allow
     legendrian surgery presentations and give a Stein filling; a connected
     binding rotating positively still gives a strong filling.
+
+    Lemma: called from :func:`classify_marked`, only the
+    ``positive-twist-stein`` branch fires.  That caller asks only when the
+    page word is positive, which for :func:`page_descriptor` means a ``+``
+    marking.  A ``+`` marked cone ``(c, order)`` turns its orbit of
+    ``degree/order`` circles by ``u/degree`` per period, where
+    ``u = c^{-1} mod order`` lies in ``[1, order-1]`` (``mod_inverse``
+    refuses anything else).  So every slope lies in (0, 1) with a
+    denominator above 1 and is legendrian realizable.  The
+    ``positive-twist-strong`` and ``Unknown`` branches stay reachable
+    through descriptors built by hand.
     """
     if not d.positive_word:
         raise ValueError("the monodromy word is not positive")
@@ -226,7 +237,9 @@ def classify_marked(m: MarkedDataSet) -> FillabilityVerdict:
 
     Rules that do not apply (wrong action class, non-positive word) are
     skipped rather than treated as failures; when nothing fires the verdict
-    is ``Unknown``.
+    is ``Unknown``.  Raises ``ValueError`` when one rule certifies a
+    fillable structure and another an overtwisted one: fillable structures
+    are tight, so one of the rules would be wrong.
     """
     descriptor = page_descriptor(m)
     fired: list[FillabilityVerdict] = []
@@ -243,6 +256,10 @@ def classify_marked(m: MarkedDataSet) -> FillabilityVerdict:
         notes = tuple(n for v in fired for n in v.notes)
         return FillabilityVerdict("Unknown", "none", hypotheses, notes)
 
+    verdicts = {v.verdict for v in definite}
+    if "Overtwisted" in verdicts and len(verdicts) > 1:
+        raise ValueError(f"contradictory verdicts for {m}: " + ", ".join(
+            f"{v.verdict} ({v.certificate})" for v in definite))
     best = max(definite, key=lambda v: _RANK[v.verdict])
     others = [v.certificate for v in definite if v is not best]
     notes = best.notes
@@ -468,7 +485,10 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
     violation, so an infeasible shape costs a few samples rather than the
     whole grid; the outcome is the one ``verify_profile(...).ok`` gives,
     from the same floats in the same order at the same tolerance.
+    ``candidates`` caps the shapes tried and must be at least 1.
     """
+    if candidates < 1:
+        raise ValueError(f"candidates must be at least 1, got {candidates}")
     if p == 0:
         raise ValueError("p must be nonzero")
     if math.gcd(abs(p), abs(q)) != 1:

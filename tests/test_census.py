@@ -228,6 +228,9 @@ def test_census_query_validation():
             CensusQuery(**bad)
     with pytest.raises(ValueError):
         census(CensusQuery(genus=1), workers=1)  # unbounded without degrees
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            census(CensusQuery(genus=2, degrees=(5,)), workers=bad)
 
 
 def test_census_records():

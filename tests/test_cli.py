@@ -290,6 +290,16 @@ def test_census_stream_and_file(tmp_path, capsys):
     assert "max_genus must be non-negative" in err
 
 
+def test_count_options_must_be_positive(capsys):
+    for argv in (["census", "--genus", "2", "--degrees", "5", "--workers", "0"],
+                 ["census", "--genus", "2", "--degrees", "5", "--workers", "-3"],
+                 ["profile", "5", "1", "--search", "--candidates", "-1"],
+                 ["profile", "5", "1", "--search", "--candidates", "0"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert "expected a positive integer" in err
+
+
 def test_census_prints_json_lines_in_both_modes(capsys):
     argv = ["census", "--genus", "2", "--degrees", "5,6", "--workers", "1"]
     code, plain, _ = run(argv, capsys)

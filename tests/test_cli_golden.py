@@ -6,6 +6,9 @@ without ``--json``, inside a scratch directory so that ``--svg`` and
 of stdout and the sha256 of every file the command writes must match
 ``tests/cli_golden.json``.  With ``PERISURF_FORMAT=json`` set in place of
 ``--json``, each command must give the same digests as with ``--json``.
+Run as ``python -m perisurf.cli`` in a fresh interpreter, each command must
+give the digests pinned for it too: in process the other tests have loaded
+every module, so a command that uses a module it never imports could pass.
 
 Regenerate the golden file (only when an output change is intended) with::
 
@@ -19,6 +22,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -28,6 +32,7 @@ import pytest
 from perisurf.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # (argv, files written relative to the working directory)
 README_COMMANDS = [
@@ -96,6 +101,25 @@ def test_format_env_matches_json_flag(argv, files, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert _run(argv, files) == golden[_key(argv + ["--json"])]
+
+
+@pytest.mark.parametrize("argv,files", README_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+def test_readme_command_in_fresh_interpreter(argv, files, tmp_path):
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("PERISURF_FORMAT", None)
+    proc = subprocess.run([sys.executable, "-m", "perisurf.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          timeout=120, check=False)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert {
+        "exit": proc.returncode,
+        "stdout_sha256": _sha256(proc.stdout),
+        "files": {name: _sha256((tmp_path / name).read_bytes())
+                  for name in files},
+    } == golden[_key(argv)], proc.stderr.decode()
 
 
 def test_golden_file_covers_exactly_the_readme_commands():

@@ -4,13 +4,15 @@ import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from perisurf.core import parse_data_set
+import perisurf.fillability as fillability
+from perisurf.census import CensusQuery, census
+from perisurf.core import MarkedDataSet, classify, parse_data_set
 from perisurf.fillability import (
     FillabilityVerdict,
     binding_symplectic_deviation,
@@ -33,7 +35,14 @@ from perisurf.fillability import (
     _hermite,
 )
 from perisurf.gluing import Assembly, Ext, build_edge
-from perisurf.openbook import BoundaryOrbit, OpenBookDescriptor, page_descriptor
+from perisurf.openbook import (
+    BoundaryOrbit,
+    OpenBookDescriptor,
+    Veering,
+    integral_resolution,
+    page_descriptor,
+    veering,
+)
 
 
 def ds(text):
@@ -227,6 +236,62 @@ def test_classify_marked_builds_one_page_descriptor(monkeypatch):
         assert len(calls) == 1, text
 
 
+def test_classify_marked_rejects_contradictory_verdicts(monkeypatch):
+    def overtwisted(m, **_):
+        return FillabilityVerdict("Overtwisted", "left-veering-resolution")
+
+    # a positive irreducible set also fires the positive-word rule
+    monkeypatch.setattr(fillability, "classify_irreducible", overtwisted)
+    with pytest.raises(ValueError, match="contradictory verdicts"):
+        classify_marked(ds("(6_+,0;(1,2),(1,3),(1,6),[3])"))
+
+
+def _census_markings():
+    """Every non-empty mark subset, with both signs, of every record of the
+    genus 2-4 census."""
+    records = [r for g in (2, 3, 4)
+               for r in census(CensusQuery(genus=g), workers=1)]
+    for record in records:
+        cones = range(1, record.data_set.num_pairs + 1)
+        for size in cones:
+            for marks in combinations(cones, size):
+                for sign in "+-":
+                    yield MarkedDataSet(record.data_set, sign, marks)
+
+
+def test_verdicts_agree_across_the_census():
+    # Honda-Kazez-Matic: a tight structure has only right-veering compatible
+    # monodromies, so fillable and overtwisted verdicts must never meet
+    fillable = {"SteinFillable", "StronglyFillable"}
+    count = 0
+    for m in _census_markings():
+        count += 1
+        page = page_descriptor(m)
+        fired = []
+        if classify(m.base).irreducible:
+            fired.append(classify_irreducible(m).verdict)
+        if page.positive_word:
+            fired.append(classify_positive_word(page).verdict)
+        assert not (fillable & set(fired) and "Overtwisted" in fired), m
+        v = classify_marked(m)
+        if v.verdict in fillable:
+            assert veering(page) is Veering.RIGHT, m
+        if v.verdict == "Overtwisted":
+            assert veering(integral_resolution(page)) is Veering.LEFT, m
+    assert count == 5924
+
+
+def test_classify_marked_reaches_only_the_stein_twist_branch():
+    # the lemma in classify_positive_word's docstring, on the census sweep
+    positive = [m for m in _census_markings()
+                if page_descriptor(m).positive_word]
+    assert positive and all(m.sign == "+" for m in positive)
+    for m in positive:
+        v = classify_positive_word(page_descriptor(m))
+        assert (v.verdict, v.certificate) == (
+            "SteinFillable", "positive-twist-stein"), m
+
+
 def test_verdict_certificate_pairing_enforced():
     with pytest.raises(ValueError):
         FillabilityVerdict("Unknown", "positive-assembly")
@@ -332,6 +397,9 @@ def test_search_argument_errors():
     for p, q in ((2, 1), (-3, 8), (1, -5)):
         with pytest.raises(ValueError, match="at least 64 samples"):
             search_profiles(p, q, samples=32)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="candidates must be at least 1"):
+            search_profiles(5, 1, candidates=budget)
 
 
 def test_profile_csv_roundtrip(tmp_path):
