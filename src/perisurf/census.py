@@ -26,7 +26,8 @@ completion can still make the weighted sum divisible by the degree, so
 condition ``v`` holds by construction.  Conditions ``i``, ``ii``, ``iv`` and
 the genus depend only on the order multiset and ``iii`` holds by the choice
 of units, so :func:`perisurf.core.validate` runs once per order multiset, on
-its first emitted data set, rather than once per data set.  Tests hold every
+its first emitted data set, rather than once per data set; a free rotation
+cell is checked the same way, on its first unit.  Tests hold every
 emitted data set valid over random cells, and the oracle equal to the
 generator on a grid.
 
@@ -99,16 +100,12 @@ def cyclic_degree_cap(g: int) -> int:
 
 
 def _free_rotations(n: int, g: int) -> list[DataSet]:
+    # a free rotation of degree n by any unit r acts on genus 1 + n(g0 - 1)
     if (g - 1) % n != 0:
         return []
-    g0 = (g - 1) // n + 1
-    if g0 < 0:
-        return []
-    out = []
-    for r in _units(n):
-        d = DataSet(n, g0, r)
-        if validate(d).valid and genus(d) == g:
-            out.append(d)
+    out = [DataSet(n, (g - 1) // n + 1, r) for r in _units(n)]
+    if out:
+        assert validate(out[0]).valid and genus(out[0]) == g, out[0]
     return out
 
 
@@ -321,8 +318,9 @@ def census(query: CensusQuery, *, workers: int | None = None,
 
     ``workers`` caps the process pool (default: available parallelism; 1
     runs serially); the degree/genus grid is the partition unit, so results
-    are independent of the worker count.  Raises ``ValueError`` when
-    ``workers`` is below 1.
+    are independent of the worker count, and the pool never starts more
+    processes than there are cells.  Raises ``ValueError`` when ``workers``
+    is below 1.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -344,7 +342,7 @@ def census(query: CensusQuery, *, workers: int | None = None,
         # imported here: the pool modules cost a serial run or a plain
         # ``import perisurf`` about 30 ms
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             chunks = list(pool.map(_census_cell, tasks))
     else:
         chunks = [_census_cell(t) for t in tasks]

@@ -43,22 +43,6 @@ def _wants_json(args) -> bool:
         os.environ.get("PERISURF_FORMAT", "").strip().lower() == "json"
 
 
-def _token_str(t) -> str:
-    from .gluing import Ext, Rot, Twist
-
-    if isinstance(t, Ext):
-        return f"ext({t.piece},{t.sign})"
-    if isinstance(t, Twist):
-        return f"twist({t.curve},{t.power:+d})"
-    if isinstance(t, Rot):
-        return f"rot({t.orbit},{t.slope})"
-    raise TypeError(f"unknown token {t!r}")
-
-
-def _word_str(word) -> str:
-    return " ".join(_token_str(t) for t in word.tokens)
-
-
 _AT = re.compile(r"^\s*(\d+)\s*:\s*(\d+)\s*$")
 _EDGE = re.compile(r"^\s*\(\s*(\d+)\s*:\s*(\d+)\s*\)\s*~\s*"
                    r"\(\s*(\d+)\s*:\s*(\d+)\s*\)\s*$")
@@ -236,7 +220,7 @@ def _cmd_assemble(args):
     }
     lines = [format_data_set(result.data_set),
              f"genus: {g}",
-             f"word: {_word_str(result.word)}"]
+             f"word: {result.word}"]
     lines += [f"piece {e.piece + 1} mark {e.mark}: "
               + ("glued" if e.consumed else f"kept as output {e.output_index}")
               for e in entries]
@@ -259,7 +243,7 @@ def _descriptor_lines(d) -> list[str]:
             f"per period {o.per_period_slope}"
         lines.append(f"orbit {o.mark}: {circles}, "
                      f"slope {o.full_period_slope} ({tail})")
-    return lines + [f"word: {_word_str(d.monodromy)}",
+    return lines + [f"word: {d.monodromy}",
                     f"positive word: {'yes' if d.positive_word else 'no'}"]
 
 
@@ -503,7 +487,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("rotational", "type1", "type1-irreducible", "type2"),
                    help="keep one action class")
     p.add_argument("--workers", type=_count, default=None,
-                   help="process pool size (default: all cores)")
+                   help="process pool size, at most one per cell "
+                        "(default: all cores)")
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force enumerator")
     p.add_argument("--output", metavar="PATH",

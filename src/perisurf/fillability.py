@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, pairwise, product
+from itertools import chain, islice, pairwise, product
 
 from .core import MarkedDataSet, _check_marks, classify
 from .gluing import Assembly, assemble
@@ -37,6 +37,7 @@ from .openbook import (
     veering,
 )
 
+# strongest first: classify_marked keeps the earliest definite verdict
 VERDICTS = ("SteinFillable", "StronglyFillable", "Overtwisted", "Unknown")
 
 CERTIFICATES = (
@@ -228,10 +229,6 @@ def classify_positive_word(d: OpenBookDescriptor) -> FillabilityVerdict:
     )
 
 
-_RANK = {"Unknown": 0, "Overtwisted": 1, "StronglyFillable": 2,
-         "SteinFillable": 3}
-
-
 def classify_marked(m: MarkedDataSet) -> FillabilityVerdict:
     """Run every applicable rule on a marked data set and keep the strongest.
 
@@ -260,7 +257,7 @@ def classify_marked(m: MarkedDataSet) -> FillabilityVerdict:
     if "Overtwisted" in verdicts and len(verdicts) > 1:
         raise ValueError(f"contradictory verdicts for {m}: " + ", ".join(
             f"{v.verdict} ({v.certificate})" for v in definite))
-    best = max(definite, key=lambda v: _RANK[v.verdict])
+    best = min(definite, key=lambda v: VERDICTS.index(v.verdict))
     others = [v.certificate for v in definite if v is not best]
     notes = best.notes
     if others:
@@ -358,15 +355,19 @@ def _assemble_profile(p: int, q: int, K: int, H: float, peak: float = 1.0,
     return ProfilePair(grid, f0, g0, p, q, K, H)
 
 
+def _in_corner(p: int, q: int, K: int) -> bool:
+    """Whether the collar endpoint ``(-p - qK, -q + pK)`` lies in the corner
+    ``f < 0 < g``, where the symplectic filling closes up."""
+    return -p - q * K < 0 < -q + p * K
+
+
 def _default_twist_count(p: int, q: int) -> int:
-    # smallest positive K putting the collar endpoint in the right
-    # half-planes, with one unit of margin when the margin keeps it there
+    # smallest positive K putting the collar endpoint in the corner, with
+    # one unit of margin when the margin keeps it there
     limit = 4 * (abs(p) + abs(q)) + 4
     for k in range(1, limit + 1):
-        if -p - q * k < 0 < -q + p * k:
-            if -p - q * (k + 1) < 0 < -q + p * (k + 1):
-                return k + 1
-            return k
+        if _in_corner(p, q, k):
+            return k + 1 if _in_corner(p, q, k + 1) else k
     raise ValueError(
         f"no positive collar offset K satisfies -p - qK < 0 < -q + pK "
         f"for (p, q) = ({p}, {q}); pass K explicitly")
@@ -448,11 +449,11 @@ def verify_profile(pp: ProfilePair, tolerance: float = 1e-9) -> ConditionReport:
             if first_violation is None:
                 first_violation = (r, name, value)
 
-    corner_f, corner_g = -pp.p - pp.q * pp.K, -pp.q + pp.p * pp.K
-    if not corner_f < 0 < corner_g:
+    if not _in_corner(pp.p, pp.q, pp.K):
         symplectic_ok = False
         if first_violation is None:
-            bad = corner_f if corner_f >= 0 else corner_g
+            corner_f = -pp.p - pp.q * pp.K
+            bad = corner_f if corner_f >= 0 else -pp.q + pp.p * pp.K
             first_violation = (1.0, "corner", float(bad))
     return ConditionReport(contact_ok, symplectic_ok, first_violation,
                            tuple(inconclusive))
@@ -495,12 +496,11 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
         raise ValueError(f"slope {q}/{p} is not in lowest terms")
     _require_verifiable(samples)
     peaks = (1.0, 0.5, 0.75, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
-    tried = 0
-    for K, H, peak in product(range(1, 11), range(1, 11), peaks):
-        if tried >= candidates:
-            break
-        tried += 1
-        if not -p - q * K < 0 < -q + p * K:
+    # the corner depends on K alone, so it is decided once per K
+    corner_ks = {K for K in range(1, 11) if _in_corner(p, q, K)}
+    shapes = product(range(1, 11), range(1, 11), peaks)
+    for K, H, peak in islice(shapes, candidates):
+        if K not in corner_ks:
             continue  # endpoint misses the corner; verification cannot pass
         points = []
         recorded = (points.append(pt) or pt for pt in

@@ -10,7 +10,13 @@ An :class:`Assembly` packages several marked pieces with gluing edges.
 :func:`assemble` flattens it to a single marked data set plus a monodromy
 word (extensions of the piece rotations, one core twist per same-sign glued
 annulus, boundary rotations for the surviving marked orbits) and a ledger
-saying which marked orbit went where.
+saying which marked orbit went where.  A union-find over the pieces checks
+that the assembly is connected and counts the edges that close a cycle,
+each of which raises the quotient genus by one.
+
+The monodromy tokens have both of their renderings here: ``str()`` gives
+the text form the CLI prints, such as ``ext(0,+) twist(edge0,+1)
+rot(2,1/3)``, and :func:`token_to_json` and :func:`word_to_json` the JSON.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .core import (
     mod_inverse,
     parse_data_set,
 )
-from .realization import _UnionFind
 
 
 def _require_plain(d, name: str) -> DataSet:
@@ -127,6 +132,9 @@ class Ext:
     piece: int
     sign: str = "+"
 
+    def __str__(self) -> str:
+        return f"ext({self.piece},{self.sign})"
+
 
 @dataclass(frozen=True)
 class Twist:
@@ -137,6 +145,9 @@ class Twist:
     power: int
     orbit: int | None = None
 
+    def __str__(self) -> str:
+        return f"twist({self.curve},{self.power:+d})"
+
 
 @dataclass(frozen=True)
 class Rot:
@@ -145,13 +156,21 @@ class Rot:
     orbit: int
     slope: Fraction
 
+    def __str__(self) -> str:
+        return f"rot({self.orbit},{self.slope})"
+
 
 Token = Ext | Twist | Rot
 
 
 @dataclass(frozen=True)
 class MonodromyWord:
+    """A product of tokens; ``str()`` joins their text forms with spaces."""
+
     tokens: tuple[Token, ...]
+
+    def __str__(self) -> str:
+        return " ".join(map(str, self.tokens))
 
     @property
     def positive(self) -> bool:
@@ -241,10 +260,8 @@ class PieceBoundary:
 
     piece: int
     mark: int
-    global_cone: int
     output_index: int | None
     slope: Fraction
-    orbit_size: int
 
     @property
     def consumed(self) -> bool:
@@ -272,6 +289,25 @@ class AssemblyResult:
     ledger: BoundaryLedger
 
 
+class _UnionFind:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of ``a`` and ``b``; False if already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
 def assemble(a: Assembly) -> AssemblyResult:
     """Flatten an assembly to one marked data set, word and ledger.
 
@@ -295,49 +331,40 @@ def assemble(a: Assembly) -> AssemblyResult:
     if any(p.degree != degree for p in pieces):
         raise ValueError("all pieces must share one degree")
 
-    offsets = []
-    total = 0
-    for piece in pieces:
-        offsets.append(total)
-        total += piece.base.num_pairs
+    glued: set[tuple[int, int]] = set()
 
-    def global_cone(piece_id: int, local: int) -> int:
-        return offsets[piece_id] + local
-
-    glued: set[int] = set()
-
-    def claim(piece_id: int, local: int) -> None:
-        g = global_cone(piece_id, local)
-        if g in glued:
-            raise ValueError(f"cone {local} of piece {piece_id} "
+    def claim(slot: tuple[int, int]) -> None:
+        if slot in glued:
+            raise ValueError(f"cone {slot[1]} of piece {slot[0]} "
                              "is glued more than once")
-        glued.add(g)
+        glued.add(slot)
 
     forest = _UnionFind(len(pieces))
     extra_quotient_genus = 0
     for e in a.edges:
         build_edge(pieces, e.left, e.right)
-        claim(*e.left)
-        claim(*e.right)
+        claim(e.left)
+        claim(e.right)
         if not forest.union(e.left[0], e.right[0]):
             extra_quotient_genus += 1  # gluing within one component
     for (p, r, s) in a.self_edges:
         if not 0 <= p < len(pieces):
             raise ValueError(f"piece id {p} is outside 0..{len(pieces) - 1}")
         _check_self_pair(pieces[p].base, r, s)
-        claim(p, r)
-        claim(p, s)
+        claim((p, r))
+        claim((p, s))
         extra_quotient_genus += 1
     if len({forest.find(i) for i in range(len(pieces))}) != 1:
         raise ValueError("the assembly is not connected")
 
-    surviving_globals = [g for g in range(1, total + 1) if g not in glued]
-    position = {g: idx for idx, g in enumerate(surviving_globals, 1)}
+    # the surviving cones keep (piece, cone) order and are numbered from 1
     cone_pairs = []
+    position: dict[tuple[int, int], int] = {}
     for piece_id, piece in enumerate(pieces):
         for local, pair in enumerate(piece.base.cone_pairs, 1):
-            if global_cone(piece_id, local) not in glued:
+            if (piece_id, local) not in glued:
                 cone_pairs.append(pair)
+                position[piece_id, local] = len(cone_pairs)
     quotient_genus = sum(p.base.quotient_genus for p in pieces) \
         + extra_quotient_genus
 
@@ -349,18 +376,15 @@ def assemble(a: Assembly) -> AssemblyResult:
     out_marks = []
     for piece_id, piece in enumerate(pieces):
         for mark in piece.marks:
-            g = global_cone(piece_id, mark)
             pair = piece.base.cone_pairs[mark - 1]
-            out_index = position.get(g)
+            out_index = position.get((piece_id, mark))
             if out_index is not None:
                 out_marks.append(out_index)
             entries.append(PieceBoundary(
                 piece=piece_id,
                 mark=mark,
-                global_cone=g,
                 output_index=out_index,
                 slope=boundary_slope(pair.c, pair.order, piece.sign),
-                orbit_size=degree // pair.order,
             ))
     result = MarkedDataSet(
         DataSet(degree, quotient_genus, 0, tuple(cone_pairs)),

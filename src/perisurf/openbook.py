@@ -140,19 +140,35 @@ def veering(d: OpenBookDescriptor) -> Veering:
 
 @dataclass(frozen=True)
 class SurgeryEntry:
-    """Surgery translation for one boundary orbit (per circle).
+    """Surgery translation for one boundary orbit (per circle) of slope q/p.
 
-    ``kind`` is "rational" (slope q/p, p > 1: topological p/q, contact
-    -p/q), "integral" (p = 1: the open book is already integral there),
-    or "none" (slope 0: honest boundary, nothing to do).
+    ``kind`` is "rational" (p > 1: topological p/q, contact -p/q),
+    "integral" (p = 1: the open book is already integral there), or "none"
+    (slope 0: honest boundary, nothing to do).  Every other field follows
+    from ``slope``.
     """
 
     orbit: int
     slope: Fraction
-    kind: str
-    topological: Fraction | None
-    contact: Fraction | None
-    legendrian_realizable: bool
+
+    @property
+    def kind(self) -> str:
+        if self.slope == 0:
+            return "none"
+        return "integral" if self.slope.denominator == 1 else "rational"
+
+    @property
+    def topological(self) -> Fraction | None:
+        return 1 / self.slope if self.kind == "rational" else None
+
+    @property
+    def contact(self) -> Fraction | None:
+        return -1 / self.slope if self.kind == "rational" else None
+
+    @property
+    def legendrian_realizable(self) -> bool:
+        # 0 < q < p in lowest terms; p > 1 makes the kind rational
+        return self.slope.denominator > self.slope.numerator > 0
 
 
 @dataclass(frozen=True)
@@ -162,25 +178,8 @@ class SurgeryDescription:
 
 def surgery_description(d: OpenBookDescriptor) -> SurgeryDescription:
     """How to trade each rotating boundary for surgery on an integral binding."""
-    entries = []
-    for o in d.boundary_orbits:
-        slope = o.per_period_slope
-        q, p = slope.numerator, slope.denominator
-        if q == 0:
-            entries.append(SurgeryEntry(o.mark, slope, "none", None, None, False))
-        elif p == 1:
-            entries.append(SurgeryEntry(o.mark, slope, "integral", None, None,
-                                        False))
-        else:
-            entries.append(SurgeryEntry(
-                orbit=o.mark,
-                slope=slope,
-                kind="rational",
-                topological=Fraction(p, q),
-                contact=-Fraction(p, q),
-                legendrian_realizable=p > q > 0,
-            ))
-    return SurgeryDescription(tuple(entries))
+    return SurgeryDescription(tuple(SurgeryEntry(o.mark, o.per_period_slope)
+                                    for o in d.boundary_orbits))
 
 
 class UnsupportedResolution(ValueError):

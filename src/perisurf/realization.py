@@ -9,6 +9,10 @@ characteristic count over the identified polygon corners and checks that the
 pairing is a fixed-point-free involution commuting with the rotation.  The
 corners glued to one vertex form one cycle of the corner permutation
 ``c -> pairing[c] % sides``, so the vertex count is a cycle count.
+
+The module holds the polygon model, its verifier and an SVG drawing, and
+needs nothing but :mod:`perisurf.core`.  Within the package, the census
+and the ``polygon`` command are its only users.
 """
 
 from __future__ import annotations
@@ -106,25 +110,6 @@ def _polygon(canon: DataSet, g: int) -> PolygonPresentation:
         degree=n,
         outside_theorem=g < 2,
     )
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the classes of ``a`` and ``b``; False if already one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
 
 
 def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:

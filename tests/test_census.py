@@ -261,6 +261,22 @@ def test_census_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_census_pool_starts_no_more_processes_than_cells(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    spawned = []
+    spawn = ProcessPoolExecutor._spawn_process
+
+    def counting(self):
+        spawned.append(1)
+        return spawn(self)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting)
+    query = CensusQuery(genus=2, degrees=(5, 6))
+    assert census(query, workers=4) == census(query, workers=1)
+    assert 1 <= len(spawned) <= 2
+
+
 def test_census_jsonl_roundtrip(tmp_path):
     records = census(CensusQuery(genus=2, degrees=(5, 6, 8)), workers=1)
     path = tmp_path / "census.jsonl"

@@ -282,3 +282,15 @@ def test_assembly_json_rejects_malformed_payloads():
     with pytest.raises(ValueError):
         assembly_from_json({"pieces": ["(6_+,0;(1,2),(1,3),(1,6),[3])"] * 2,
                             "edges": [{"left": [0, 3]}]})  # edge missing a side
+
+
+def test_tokens_and_words_print_their_text_form():
+    from fractions import Fraction
+
+    word = MonodromyWord((Ext(0), Ext(1, "-"), Twist("edge0", 1),
+                          Twist("selfedge0", -2, orbit=3),
+                          Rot(2, Fraction(1, 3)), Rot(4, Fraction(-5, 6)),
+                          Rot(5, Fraction(0))))
+    assert str(word) == ("ext(0,+) ext(1,-) twist(edge0,+1) "
+                         "twist(selfedge0,-2) rot(2,1/3) rot(4,-5/6) rot(5,0)")
+    assert str(MonodromyWord(())) == ""

@@ -70,6 +70,15 @@ def test_plain_package_import_loads_no_submodule():
     (["classify", "(5,0;(1,5),(3,5),(1,5))"], []),
     # the check sees a load when one happens
     (["enumerate", "6", "1"], ["perisurf.census", "perisurf.realization"]),
+    # gluing and the open book layer need no polygon model
+    (["page", "(6_+,0;(1,2),(1,3),(1,6),[3])"],
+     ["perisurf.gluing", "perisurf.openbook"]),
+    (["fill", "(6_+,0;(1,2),(1,3),(1,6),[3])"],
+     ["perisurf.fillability", "perisurf.gluing", "perisurf.openbook"]),
+    (["profile", "5", "1"],
+     ["perisurf.fillability", "perisurf.gluing", "perisurf.openbook"]),
+    (["glue", "(6,0;(1,2),(1,3),(5,6))", "(6,0;(1,2),(2,3),(1,6))"],
+     ["perisurf.gluing"]),
 ])
 def test_command_loads_only_what_it_uses(argv, loaded):
     code = ("import contextlib, io, json, sys\n"
@@ -79,6 +88,16 @@ def test_command_loads_only_what_it_uses(argv, loaded):
             f"print(json.dumps([code, {LOADED}]))")
     assert fresh(code, *argv) == [0, sorted(["perisurf.cli", "perisurf.core",
                                              *loaded])]
+
+
+@pytest.mark.parametrize("module,loaded", [
+    ("gluing", ["core", "gluing"]),
+    ("openbook", ["core", "gluing", "openbook"]),
+    ("fillability", ["core", "fillability", "gluing", "openbook"]),
+])
+def test_library_module_loads_only_its_imports(module, loaded):
+    code = f"import json, perisurf.{module}; print(json.dumps({LOADED}))"
+    assert fresh(code) == [f"perisurf.{m}" for m in loaded]
 
 
 @pytest.mark.parametrize("first", [

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from perisurf.census import CensusQuery, census
 from perisurf.core import parse_data_set
-from perisurf.gluing import Ext, Rot, Twist
+from perisurf.gluing import Ext, Rot, Twist, boundary_slope
 from perisurf.openbook import (
     BoundaryOrbit,
     OpenBookDescriptor,
+    SurgeryEntry,
     UnsupportedResolution,
     Veering,
     descriptor_to_json,
@@ -148,6 +150,36 @@ def test_surgery_degenerate_kinds():
     )
     kinds = {e.orbit: e.kind for e in surgery_description(flat).entries}
     assert kinds == {1: "none", 2: "integral"}
+
+
+def _census_slopes():
+    # per-period slope of every cone of the genus 2-4 census, both signs
+    out = set()
+    for g in (2, 3, 4):
+        for r in census(CensusQuery(genus=g), workers=1):
+            n = r.data_set.degree
+            for pair in r.data_set.cone_pairs:
+                for sign in "+-":
+                    full = boundary_slope(pair.c, pair.order, sign)
+                    out.add(full / (n // pair.order))
+    return out
+
+
+def test_surgery_entry_derives_everything_from_its_slope():
+    grid = {F(q, p) for q in range(-12, 13) for p in range(1, 13)}
+    census_slopes = _census_slopes()
+    assert len(census_slopes) > 50
+    for slope in sorted(grid | census_slopes):
+        q, p = slope.numerator, slope.denominator
+        e = SurgeryEntry(7, slope)
+        if q == 0:
+            want = ("none", None, None, False)
+        elif p == 1:
+            want = ("integral", None, None, False)
+        else:
+            want = ("rational", F(p, q), -F(p, q), p > q > 0)
+        assert (e.kind, e.topological, e.contact,
+                e.legendrian_realizable) == want, slope
 
 
 def test_integral_resolution_unrolls_negative_orbit():

@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from perisurf.census import enumerate_irreducible
 from perisurf.core import parse_data_set
+from perisurf.gluing import _UnionFind
 from perisurf.realization import (
     PolygonPresentation,
-    _UnionFind,
     draw_polygon_svg,
     polygon_realization,
     verify_realization,
