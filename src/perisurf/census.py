@@ -319,8 +319,8 @@ def census(query: CensusQuery, *, workers: int | None = None,
     ``workers`` caps the process pool (default: available parallelism; 1
     runs serially); the degree/genus grid is the partition unit, so results
     are independent of the worker count, and the pool never starts more
-    processes than there are cells.  Raises ``ValueError`` when ``workers``
-    is below 1.
+    processes than there are cells or cores.  Raises ``ValueError`` when
+    ``workers`` is below 1.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -336,13 +336,13 @@ def census(query: CensusQuery, *, workers: int | None = None,
                 "restrict it with a degree filter")
         tasks.extend((n, g, oracle) for n in degs)
 
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(tasks) > 1:
+    cores = os.cpu_count() or 1
+    workers = min(cores if workers is None else workers, len(tasks), cores)
+    if workers > 1:
         # imported here: the pool modules cost a serial run or a plain
         # ``import perisurf`` about 30 ms
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_census_cell, tasks))
     else:
         chunks = [_census_cell(t) for t in tasks]

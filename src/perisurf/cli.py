@@ -487,8 +487,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("rotational", "type1", "type1-irreducible", "type2"),
                    help="keep one action class")
     p.add_argument("--workers", type=_count, default=None,
-                   help="process pool size, at most one per cell "
-                        "(default: all cores)")
+                   help="process pool size, at most one per cell and "
+                        "core (default: all cores)")
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force enumerator")
     p.add_argument("--output", metavar="PATH",

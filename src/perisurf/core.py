@@ -379,7 +379,7 @@ class _Cursor:
     def number(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             got = self.peek() or "end of input"
@@ -428,7 +428,7 @@ def parse_data_set(text: str) -> DataSet | MarkedDataSet:
     if cur.take(";"):
         pass
     elif cur.take(","):
-        if cur.peek().isdigit():
+        if cur.peek().isdecimal():
             rotation = cur.number()
             if not (cur.take(";") or cur.take(",")):
                 raise ParseError("expected ';' before the cone pairs", cur.pos)

@@ -14,8 +14,9 @@ everywhere.  Verification is numerical on a sample grid with an explicit
 tolerance; values inside the tolerance band are reported as inconclusive
 rather than silently passed or failed.  Verification and the shape search
 read one lazy stream of per-sample conditions: verification reads all of
-it, while the search stops a shape at its first definite violation and so
-accepts exactly the shapes ``verify_profile(...).ok`` accepts.
+it, while the search stops a shape at its first definite violation and
+decides the corner once per ``K`` and the binding arc once per ``H``; it
+still accepts exactly the shapes ``verify_profile(...).ok`` accepts.
 """
 
 from __future__ import annotations
@@ -310,15 +311,6 @@ class ConditionReport:
         return self.contact_ok and self.symplectic_ok
 
 
-def _hermite(t: float, va: float, da: float, vb: float, db: float,
-             width: float) -> float:
-    h00 = 2 * t ** 3 - 3 * t ** 2 + 1
-    h10 = t ** 3 - 2 * t ** 2 + t
-    h01 = -2 * t ** 3 + 3 * t ** 2
-    h11 = t ** 3 - t ** 2
-    return h00 * va + h10 * width * da + h01 * vb + h11 * width * db
-
-
 def _profile_points(p: int, q: int, K: int, H: float, peak: float,
                     samples: int):
     """Yield the samples ``(r, f0, g0)`` of the three-arc profile in order.
@@ -330,6 +322,7 @@ def _profile_points(p: int, q: int, K: int, H: float, peak: float,
     if samples < 2:
         raise ValueError("need at least two samples")
     a, b = _BINDING_END, _COLLAR_START
+    width = b - a
     fa, dfa = 2 * H - a * a, -2 * a
     ga, dga = a * a, 2 * a
     fb, dfb = -b * p - q * K, float(-p)
@@ -343,10 +336,15 @@ def _profile_points(p: int, q: int, K: int, H: float, peak: float,
         elif r >= b:
             yield r, -r * p - q * K, -r * q + p * K
         else:
-            t = (r - a) / (b - a)
-            g = _hermite(t, ga, dga, gb, dgb, b - a)
-            yield (r, _hermite(t, fa, dfa, fb, dfb, b - a),
-                   g + bump_scale * 16 * t * t * (1 - t) * (1 - t))
+            t = (r - a) / width
+            t2, t3 = t ** 2, t ** 3
+            h00 = 2 * t3 - 3 * t2 + 1
+            h10 = t3 - 2 * t2 + t
+            h01 = -2 * t3 + 3 * t2
+            h11 = t3 - t2
+            f = h00 * fa + h10 * width * dfa + h01 * fb + h11 * width * dfb
+            g = h00 * ga + h10 * width * dga + h01 * gb + h11 * width * dgb
+            yield r, f, g + bump_scale * 16 * t * t * (1 - t) * (1 - t)
 
 
 def _assemble_profile(p: int, q: int, K: int, H: float, peak: float = 1.0,
@@ -484,9 +482,11 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
     passing :func:`verify_profile`, or ``None`` when every candidate fails.
     Each shape is sampled lazily and dropped at its first definite
     violation, so an infeasible shape costs a few samples rather than the
-    whole grid; the outcome is the one ``verify_profile(...).ok`` gives,
-    from the same floats in the same order at the same tolerance.
-    ``candidates`` caps the shapes tried and must be at least 1.
+    whole grid.  The corner is decided once per ``K``, and a violation on
+    the binding arc, which reads ``H`` alone, once per ``H``.  The outcome
+    is the one ``verify_profile(...).ok`` gives, from the same floats in
+    the same order at the same tolerance.  ``candidates`` caps the shapes
+    tried, skipped ones included, and must be at least 1.
     """
     if candidates < 1:
         raise ValueError(f"candidates must be at least 1, got {candidates}")
@@ -498,10 +498,13 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
     peaks = (1.0, 0.5, 0.75, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
     # the corner depends on K alone, so it is decided once per K
     corner_ks = {K for K in range(1, 11) if _in_corner(p, q, K)}
+    # the binding arc depends on H alone: an H whose shape failed there
+    # fails there again, from the same floats, whatever K and peak are
+    doomed_hs = set()
     shapes = product(range(1, 11), range(1, 11), peaks)
     for K, H, peak in islice(shapes, candidates):
-        if K not in corner_ks:
-            continue  # endpoint misses the corner; verification cannot pass
+        if K not in corner_ks or H in doomed_hs:
+            continue  # verification cannot pass
         points = []
         recorded = (points.append(pt) or pt for pt in
                     _profile_points(p, q, K, float(H), peak, samples))
@@ -512,6 +515,10 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
                    for _, _, value, wanted_sign in _checks(recorded, p, q)):
             grid, f0, g0 = zip(*points)
             return ProfilePair(grid, f0, g0, p, q, K, float(H))
+        # _checks reads one sample ahead, so the last sample recorded ends
+        # the failing check's stencil
+        if points[-1][0] <= _BINDING_END:
+            doomed_hs.add(H)
     return None
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -261,19 +262,33 @@ def test_census_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_census_pool_starts_no_more_processes_than_cells(monkeypatch):
+@pytest.fixture
+def spawned(monkeypatch):
+    """Records one entry per worker process a census pool starts."""
     from concurrent.futures import ProcessPoolExecutor
 
-    spawned = []
+    started = []
     spawn = ProcessPoolExecutor._spawn_process
 
     def counting(self):
-        spawned.append(1)
+        started.append(1)
         return spawn(self)
 
     monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting)
+    return started
+
+
+def test_census_pool_starts_no_more_processes_than_cells(spawned):
     query = CensusQuery(genus=2, degrees=(5, 6))
     assert census(query, workers=4) == census(query, workers=1)
+    assert 1 <= len(spawned) <= 2
+
+
+def test_census_pool_starts_no_more_processes_than_cores(spawned,
+                                                          monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    query = CensusQuery(genus=2, degrees=(5, 6, 8, 10))
+    assert census(query, workers=8) == census(query, workers=1)
     assert 1 <= len(spawned) <= 2
 
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from perisurf.cli import main
-from perisurf.core import parse_data_set
+from perisurf.core import ParseError, parse_data_set
 from perisurf.gluing import Assembly, assembly_to_json, build_edge
 
 
@@ -45,6 +45,24 @@ def test_structurally_bad_notation_is_a_parse_error(capsys):
         code, _, err = run(["genus", text], capsys)
         assert code == 2, text
         assert "parse error" in err
+
+
+# one non-decimal digit in each number slot: degree, g0, rotation, cone
+# residue, cone order, repeat count and mark
+@pytest.mark.parametrize("digit", ["²", "①"])
+@pytest.mark.parametrize("template", [
+    "(D,0;(1,2))", "(6,D;(1,2))", "(6,0,D;-)", "(6,0;(D,2))", "(6,0;(1,D))",
+    "(2,0;(1,2)×D)", "(6_+,0;(1,2),(1,3),(1,6),[D])",
+])
+def test_non_decimal_digits_are_parse_errors(template, digit, capsys):
+    # str.isdigit accepts these characters and int() does not
+    text = template.replace("D", digit)
+    with pytest.raises(ParseError) as info:
+        parse_data_set(text)
+    assert info.value.position == text.index(digit)
+    code, _, err = run(["genus", text], capsys)
+    assert code == 2
+    assert "parse error" in err
 
 
 def test_validate_reports_and_exit(capsys):

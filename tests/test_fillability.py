@@ -32,7 +32,6 @@ from perisurf.fillability import (
     ConditionReport,
     ProfilePair,
     _assemble_profile,
-    _hermite,
 )
 from perisurf.gluing import Assembly, Ext, build_edge
 from perisurf.openbook import (
@@ -419,6 +418,14 @@ def test_profile_csv_roundtrip(tmp_path):
 # lazy condition stream: whole arrays, a derivative pass, then the checks.
 
 
+def _hermite(t, va, da, vb, db, width):
+    h00 = 2 * t ** 3 - 3 * t ** 2 + 1
+    h10 = t ** 3 - 2 * t ** 2 + t
+    h01 = -2 * t ** 3 + 3 * t ** 2
+    h11 = t ** 3 - t ** 2
+    return h00 * va + h10 * width * da + h01 * vb + h11 * width * db
+
+
 def _reference_assemble(p, q, K, H, peak=1.0, samples=1024):
     a, b = _BINDING_END, _COLLAR_START
     fa, dfa = 2 * H - a * a, -2 * a
@@ -560,6 +567,32 @@ def test_search_matches_reference_search():
             got = search_profiles(p, q, candidates=budget, samples=64)
             expected = want if accepted_at <= budget else None
             assert repr(got) == repr(expected), (p, q, budget)
+
+
+def test_search_decides_each_binding_arc_once(monkeypatch):
+    # for p < q < 2p every shape fails on the binding arc, which depends on
+    # H alone: one profile per H value instead of one per shape (900)
+    built = []
+    profile_points = fillability._profile_points
+
+    def counting(*args):
+        built.append(args)
+        return profile_points(*args)
+
+    monkeypatch.setattr(fillability, "_profile_points", counting)
+    assert search_profiles(7, 12) is None
+    assert 1 <= len(built) <= 10
+
+
+@pytest.mark.parametrize("tolerance", [0.25, math.nan])
+def test_binding_arc_pruning_matches_reference_search(tolerance):
+    # slopes p < q < 2p, whose shapes all fail on the binding arc; a wide
+    # tolerance moves the first definite violation deeper into the arc and
+    # NaN makes every check definite
+    for p, q in ((2, 3), (7, 12), (9, 17)):
+        want, _ = _reference_search(p, q, samples=256, tolerance=tolerance)
+        got = search_profiles(p, q, samples=256, tolerance=tolerance)
+        assert repr(got) == repr(want), (p, q)
 
 
 def test_profile_sweep_script_maps_the_feasible_region(capsys, monkeypatch):
