@@ -31,6 +31,19 @@ cell is checked the same way, on its first unit.  Tests hold every
 emitted data set valid over random cells, and the oracle equal to the
 generator on a grid.
 
+A cell's records are read from the integers the generator holds.  Each data
+set's text rendering is joined from per-cone strings, and the cell is sorted
+on it, so the output order is that of :func:`perisurf.core.format_data_set`
+without formatting any data set.  The action class is decided once per order
+multiset: :func:`perisurf.core.classify` reads the residues only when the
+cones all have full order and their number is even, 2 exactly when the
+degree exceeds 2, so only those records are classified one by one, and a
+free rotation is always rotational.  Both JSON line formats, the file's
+(``sort_keys=True``) and the CLI's (compact separators), are rendered from a
+record's integers by one function, byte for byte equal to ``json.dumps`` of
+:func:`record_to_json`; :func:`read_census` builds one ``ConePair`` per
+``(c, order)`` of a file.
+
 :func:`enumerate_irreducible` filters the generator's output by class
 rather than enumerating irreducible sets on its own.
 """
@@ -43,15 +56,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
+from operator import getitem, itemgetter
 from pathlib import Path
 
 from .core import (
     ConePair,
     DataSet,
+    _data_set_from_json,
     _lcm_violations,
     canonicalize,
     classify,
-    data_set_from_json,
     data_set_to_json,
     format_data_set,
     genus,
@@ -178,19 +192,21 @@ def _residue_tuples(n: int, orders: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_data_sets(degree: int, g: int) -> list[DataSet]:
-    """All valid data sets of this degree acting on a genus-``g`` surface.
-
-    Output is canonical, duplicate-free and sorted by text rendering.
-    """
-    if degree < 1:
-        raise ValueError(f"degree must be positive, got {degree}")
+def _cell(n: int, g: int) -> list[tuple[str, DataSet, str | None]]:
+    # every valid data set of degree n and genus g as (text, data set,
+    # class label), in text order; text is format_data_set of the set, built
+    # from the integers, and the label is None where the residues decide it
+    if n < 1:
+        raise ValueError(f"degree must be positive, got {n}")
     if g < 0:
         raise ValueError(f"genus must be non-negative, got {g}")
-    n = degree
-    found = list(_free_rotations(n, g))
-    # cone pairs are immutable, so one instance per (c, order) serves all
-    cones: dict[tuple[int, int], ConePair] = {}
+    # a free rotation has a nonzero rotation, so classify calls it rotational
+    cell = [(f"({n},{d.quotient_genus},{d.rotation};-)", d, "rotational")
+            for d in _free_rotations(n, g)]
+    # per cone order, each unit c's ConePair and its text "(c,order)";
+    # pairs are immutable, so one instance per (c, order) serves all
+    cones: dict[int, dict[int, ConePair]] = {}
+    texts: dict[int, dict[int, str]] = {}
 
     g0 = 0
     while True:
@@ -198,23 +214,46 @@ def enumerate_data_sets(degree: int, g: int) -> list[DataSet]:
         target = n * (2 - 2 * g0) + 2 * g - 2
         if target <= 0:
             break
+        head = f"({n},{g0};"
         for orders in _order_multisets(n, target):
             if _lcm_violations(n, g0, orders):
                 continue
-            first = len(found)
-            for cs in _residue_tuples(n, orders):
-                pairs = []
-                for key in zip(cs, orders):
-                    cone = cones.get(key)
-                    if cone is None:
-                        cone = cones[key] = ConePair(*key)
-                    pairs.append(cone)
-                found.append(DataSet(n, g0, 0, tuple(pairs)))
-            if len(found) > first:
-                d = found[first]
-                assert validate(d).valid and genus(d) == g, d
+            residues = _residue_tuples(n, orders)
+            if not residues:
+                continue
+            for o in orders:
+                if o not in cones:
+                    units = _units(o)
+                    cones[o] = {c: ConePair(c, o) for c in units}
+                    texts[o] = {c: f"({c},{o})" for c in units}
+            cone_of = [cones[o] for o in orders]
+            text_of = [texts[o] for o in orders]
+            first = DataSet(n, g0, 0, tuple(map(getitem, cone_of, residues[0])))
+            assert validate(first).valid and genus(first) == g, first
+            # classify reads the residues only for an even number of cones,
+            # all of full order, that is 2 exactly when n > 2; otherwise one
+            # data set decides the whole multiset
+            l = len(orders)
+            label = None
+            if l % 2 or (l == 2) != (n > 2) or orders[0] != n:
+                label = classify(first).label
+            cell.append((head + ",".join(map(getitem, text_of, residues[0])) + ")",
+                         first, label))
+            for cs in residues[1:]:
+                cell.append((head + ",".join(map(getitem, text_of, cs)) + ")",
+                             DataSet(n, g0, 0, tuple(map(getitem, cone_of, cs))),
+                             label))
         g0 += 1
-    return sorted(found, key=format_data_set)
+    cell.sort(key=itemgetter(0))
+    return cell
+
+
+def enumerate_data_sets(degree: int, g: int) -> list[DataSet]:
+    """All valid data sets of this degree acting on a genus-``g`` surface.
+
+    Output is canonical, duplicate-free and sorted by text rendering.
+    """
+    return [d for _, d, _ in _cell(degree, g)]
 
 
 def enumerate_oracle(degree: int, g: int) -> list[DataSet]:
@@ -297,8 +336,7 @@ class CensusRecord:
     polygon_verified: bool | None
 
 
-def _build_record(d: DataSet, g: int) -> CensusRecord:
-    label = classify(d).label
+def _build_record(d: DataSet, g: int, label: str) -> CensusRecord:
     verified = None
     if label == "type1-irreducible":
         # d comes canonical and valid from the enumerators, with genus g
@@ -308,8 +346,11 @@ def _build_record(d: DataSet, g: int) -> CensusRecord:
 
 def _census_cell(task: tuple[int, int, bool]) -> list[CensusRecord]:
     n, g, use_oracle = task
-    enumerator = enumerate_oracle if use_oracle else enumerate_data_sets
-    return [_build_record(d, g) for d in enumerator(n, g)]
+    if use_oracle:
+        return [_build_record(d, g, classify(d).label)
+                for d in enumerate_oracle(n, g)]
+    return [_build_record(d, g, label or classify(d).label)
+            for _, d, label in _cell(n, g)]
 
 
 def census(query: CensusQuery, *, workers: int | None = None,
@@ -361,13 +402,54 @@ def record_to_json(r: CensusRecord) -> dict:
     return obj
 
 
+_LABELS = ("rotational", "type1", "type1-irreducible", "type2")
+
+
+def _record_line(r: CensusRecord, compact: bool = False) -> str:
+    # json.dumps(record_to_json(r), ...) with sort_keys=True (the file
+    # format) or, when compact, with separators=(",", ":") (the CLI format).
+    # A record whose fields have the exact types a census gives them is
+    # written straight from its integers; any other takes json.dumps.
+    d, g, label, verified = r.data_set, r.genus, r.action_class, r.polygon_verified
+    sep = "," if compact else ", "
+    pairs = []
+    plain = (type(d) is DataSet and type(g) is int
+             and type(label) is str and label in _LABELS
+             and (verified is None or verified is True or verified is False)
+             and type(d.degree) is type(d.quotient_genus) is type(d.rotation) is int)
+    if plain:
+        for p in d.cone_pairs:
+            c, order = p.c, p.order
+            if type(c) is not int or type(order) is not int:
+                plain = False
+                break
+            pairs.append(f"[{c}{sep}{order}]")
+    if not plain:
+        if compact:
+            return json.dumps(record_to_json(r), separators=(",", ":"))
+        return json.dumps(record_to_json(r), sort_keys=True)
+    flag = "null" if verified is None else "true" if verified else "false"
+    body = sep.join(pairs)
+    if compact:
+        return (f'{{"degree":{d.degree},"quotient_genus":{d.quotient_genus},'
+                f'"rotation":{d.rotation},"cone_pairs":[{body}],"genus":{g},'
+                f'"class":"{label}","polygon_verified":{flag}}}')
+    return (f'{{"class": "{label}", "cone_pairs": [{body}], '
+            f'"degree": {d.degree}, "genus": {g}, "polygon_verified": {flag}, '
+            f'"quotient_genus": {d.quotient_genus}, "rotation": {d.rotation}}}')
+
+
 def record_from_json(obj: dict) -> CensusRecord:
+    return _record_from_json(obj, {})
+
+
+def _record_from_json(obj: dict, cones: dict) -> CensusRecord:
+    # cones: the ConePair table of _data_set_from_json
     if not isinstance(obj, dict):
         raise ValueError("a census record is a JSON object, "
                          f"got {type(obj).__name__}")
-    fields = {k: v for k, v in obj.items()
-              if k not in ("genus", "class", "polygon_verified")}
-    d = data_set_from_json(fields)
+    # the data set reader reads none of the record's own keys
+    d = _data_set_from_json(obj, cones)
     if not isinstance(d, DataSet):
         raise ValueError("census records hold plain data sets")
     return CensusRecord(d, obj["genus"], obj["class"], obj["polygon_verified"])
@@ -378,7 +460,7 @@ def write_census(records, path: str | Path) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps(record_to_json(r), sort_keys=True) + "\n")
+            fh.write(_record_line(r) + "\n")
             count += 1
     return count
 
@@ -386,12 +468,14 @@ def write_census(records, path: str | Path) -> int:
 def read_census(path: str | Path) -> list[CensusRecord]:
     """Read a JSON Lines census; errors carry the offending line number."""
     out = []
+    # one ConePair per (c, order) for the whole file
+    cones: dict[tuple[int, int], ConePair] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                out.append(record_from_json(json.loads(line)))
+                out.append(_record_from_json(json.loads(line), cones))
             except (ValueError, KeyError, TypeError) as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
     return out

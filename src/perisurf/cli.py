@@ -370,14 +370,13 @@ def _cmd_enumerate(args):
 
 
 def _cmd_census(args):
-    from .census import CensusQuery, census, record_to_json
+    from .census import CensusQuery, _record_line, census
 
     # JSON lines in either output mode, hence no payload
     query = CensusQuery(genus=args.genus, max_genus=args.max_genus,
                         degrees=args.degrees, action_class=args.action_class)
     records = census(query, workers=args.workers, oracle=args.oracle)
-    lines = [json.dumps(record_to_json(r), separators=(",", ":"))
-             for r in records]
+    lines = [_record_line(r, compact=True) for r in records]
     if not args.output:
         return 0, None, lines
     with open(args.output, "w") as fh:

@@ -36,8 +36,11 @@ class ConePair:
     order: int
 
     def __post_init__(self) -> None:
-        _check_int(self.c, "c")
-        _check_int(self.order, "order")
+        # an exact int always passes _check_int; other values take its test
+        if type(self.c) is not int:
+            _check_int(self.c, "c")
+        if type(self.order) is not int:
+            _check_int(self.order, "order")
         if self.order < 1:
             raise ValueError(f"cone order must be positive, got {self.order}")
         if self.c < 0:
@@ -54,19 +57,25 @@ class DataSet:
     cone_pairs: tuple[ConePair, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_int(self.degree, "degree")
-        _check_int(self.quotient_genus, "quotient_genus")
-        _check_int(self.rotation, "rotation")
+        if type(self.degree) is not int:
+            _check_int(self.degree, "degree")
+        if type(self.quotient_genus) is not int:
+            _check_int(self.quotient_genus, "quotient_genus")
+        if type(self.rotation) is not int:
+            _check_int(self.rotation, "rotation")
         if self.degree < 1:
             raise ValueError(f"degree must be positive, got {self.degree}")
         if self.quotient_genus < 0:
             raise ValueError("quotient genus must be non-negative")
         if self.rotation < 0:
             raise ValueError("rotation must be non-negative")
-        pairs = tuple(self.cone_pairs)
-        if not all(isinstance(p, ConePair) for p in pairs):
-            raise TypeError("cone_pairs must contain ConePair values")
-        object.__setattr__(self, "cone_pairs", pairs)
+        pairs = self.cone_pairs
+        if type(pairs) is not tuple:
+            pairs = tuple(pairs)
+            object.__setattr__(self, "cone_pairs", pairs)
+        for p in pairs:
+            if not isinstance(p, ConePair):
+                raise TypeError("cone_pairs must contain ConePair values")
 
     @property
     def num_pairs(self) -> int:
@@ -153,13 +162,17 @@ def mod_inverse(c: int, m: int) -> int:
         raise ValueError(f"{c} is not invertible modulo {m}") from None
 
 
-def _rh_genus(degree: int, quotient_genus: int, orders: list[int]) -> Fraction:
+def _rh_genus(degree: int, quotient_genus: int,
+              orders: list[int]) -> int | Fraction:
     # Riemann-Hurwitz, 1 - n/2 * (2 - 2*g0 - sum(1 - 1/o)), over the common
-    # denominator L = lcm(orders): the deficiency is sum((o-1) * L/o) / L
+    # denominator L = lcm(orders): the deficiency is sum((o-1) * L/o) / L.
+    # An integral genus comes back as an int, which compares and prints as
+    # the Fraction would and costs no Fraction construction.
     common = lcm(*orders) if orders else 1
     deficiency = sum((o - 1) * (common // o) for o in orders)
     euler = (2 - 2 * quotient_genus) * common - deficiency
-    return Fraction(2 * common - degree * euler, 2 * common)
+    num, den = 2 * common - degree * euler, 2 * common
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def _lcm_violations(degree: int, quotient_genus: int,
@@ -344,6 +357,10 @@ def canonicalize_marked(m: MarkedDataSet) -> tuple[MarkedDataSet, tuple[int, ...
 # list, subscript signs "₊"/"₋" without the underscore, and a "×k"/"xk"
 # repetition suffix on a cone pair (several sources print the tuple in each
 # of these ways).
+#
+# A data set holds at most 10^6 cone pairs, repeats included.  A pair that
+# would pass that total is a parse error, at the position of k when it
+# carries a "×k", raised before the pair is repeated.
 
 
 class ParseError(ValueError):
@@ -396,6 +413,7 @@ class _Cursor:
 
 
 _DASHES = ("-", "−")
+_MAX_CONE_PAIRS = 10**6
 
 
 def parse_data_set(text: str) -> DataSet | MarkedDataSet:
@@ -451,12 +469,16 @@ def parse_data_set(text: str) -> DataSet | MarkedDataSet:
             cur.expect(",")
             order = cur.number()
             cur.expect(")")
-            count = 1
+            count, at = 1, cur.pos
             if cur.peek() in ("×", "x"):
                 cur.pos += 1
+                cur.skip_ws()
+                at = cur.pos
                 count = cur.number()
                 if count < 1:
                     raise ParseError("repeat count must be positive", cur.pos)
+            if len(pairs) + count > _MAX_CONE_PAIRS:
+                raise ParseError(f"more than {_MAX_CONE_PAIRS} cone pairs", at)
             pairs.extend([cur.build(ConePair, c, order)] * count)
             if not cur.take(","):
                 break
@@ -523,13 +545,27 @@ def data_set_to_json(d: DataSet | MarkedDataSet) -> dict:
 
 
 def data_set_from_json(obj: dict) -> DataSet | MarkedDataSet:
+    return _data_set_from_json(obj, {})
+
+
+def _data_set_from_json(obj: dict, cones: dict) -> DataSet | MarkedDataSet:
+    # ``cones`` maps (c, order) to a ConePair already built from those
+    # values; only exact ints are looked up, since True == 1 would find the
+    # pair of 1 and skip the check that refuses a bool
     if not isinstance(obj, dict):
         raise ValueError(f"a data set is a JSON object, got {type(obj).__name__}")
     try:
-        base = DataSet(
-            obj["degree"], obj["quotient_genus"], obj["rotation"],
-            tuple(ConePair(c, n) for c, n in obj["cone_pairs"]),
-        )
+        degree, g0, rotation = obj["degree"], obj["quotient_genus"], obj["rotation"]
+        pairs = []
+        for c, n in obj["cone_pairs"]:
+            if type(c) is int and type(n) is int:
+                cone = cones.get((c, n))
+                if cone is None:
+                    cone = cones[c, n] = ConePair(c, n)
+            else:
+                cone = ConePair(c, n)
+            pairs.append(cone)
+        base = DataSet(degree, g0, rotation, tuple(pairs))
     except KeyError as e:
         raise ValueError(f"missing data set field {e.args[0]!r}") from None
     if "sign" in obj or "marks" in obj:

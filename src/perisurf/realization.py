@@ -81,7 +81,8 @@ def _polygon(canon: DataSet, g: int) -> PolygonPresentation:
     # surface genus g; callers that already know all that skip the guards
     n = canon.degree
     p1, p2, p3 = canon.cone_pairs
-    q = (n // p2.order) * mod_inverse(p3.c, n) % n
+    inverse = mod_inverse(p3.c, n)
+    q = (n // p2.order) * inverse % n
     j = p2.order - p2.c
     z_offset = (q * j) % n
     doubled = p1.order != 2 and p2.order != 2
@@ -102,7 +103,7 @@ def _polygon(canon: DataSet, g: int) -> PolygonPresentation:
             z = (m + z_offset) % n or n
             pairing[m] = z
 
-    rotation_step = (k // n) * mod_inverse(p3.c, n) % k
+    rotation_step = (k // n) * inverse % k
     return PolygonPresentation(
         sides=k,
         pairing=tuple(pairing),
@@ -126,18 +127,20 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
     k = p.sides
     pairing = p.pairing
 
-    involution_ok = all(
-        1 <= pairing[i] <= k
-        and pairing[i] != i + 1
-        and pairing[pairing[i] - 1] == i + 1
-        for i in range(k)
-    )
+    # both checks stop at the first index that fails them
+    involution_ok = True
+    for i in range(k):
+        j = pairing[i]
+        if not (1 <= j <= k and j != i + 1 and pairing[j - 1] == i + 1):
+            involution_ok = False
+            break
 
     s = p.rotation_step % k
-    equivariance_ok = all(
-        (pairing[(i + s) % k] - 1) % k == (pairing[i] - 1 + s) % k
-        for i in range(k)
-    )
+    equivariance_ok = True
+    for i in range(k):
+        if (pairing[(i + s) % k] - 1) % k != (pairing[i] - 1 + s) % k:
+            equivariance_ok = False
+            break
 
     euler_genus = None
     if involution_ok:

@@ -1,5 +1,7 @@
 import json
 import os
+from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -9,7 +11,9 @@ from hypothesis import example, given, strategies as st
 from perisurf.census import (
     CensusQuery,
     CensusRecord,
+    _cell,
     _divisors,
+    _record_line,
     _residue_tuples,
     _units,
     census,
@@ -19,10 +23,14 @@ from perisurf.census import (
     enumerate_irreducible,
     enumerate_oracle,
     read_census,
+    record_to_json,
     write_census,
 )
 from perisurf.core import (
+    ConePair,
+    DataSet,
     _rh_genus,
+    classify,
     data_set_from_json,
     format_data_set,
     genus,
@@ -317,3 +325,146 @@ def test_read_census_rejects_json_that_is_not_an_object(tmp_path, line):
         read_census(path)
     with pytest.raises(ValueError, match="a data set is a JSON object"):
         data_set_from_json(json.loads(line))
+
+
+# --- the record path: class per multiset, order, line formats ---------------
+
+
+def _file_line(r):
+    return json.dumps(record_to_json(r), sort_keys=True)
+
+
+def _cli_line(r):
+    return json.dumps(record_to_json(r), separators=(",", ":"))
+
+
+def _census_records(genera):
+    return [r for g in genera for r in census(CensusQuery(genus=g), workers=1)]
+
+
+def _oracle_grid_records():
+    # the grid of acceptance criterion 4: degree <= 12, genus <= 4
+    return census(CensusQuery(max_genus=4, degrees=tuple(range(1, 13))),
+                  workers=1, oracle=True)
+
+
+def test_record_lines_equal_json_dumps():
+    records = _census_records(range(2, 15)) + _oracle_grid_records()
+    assert len(records) > 5000
+    for r in records:
+        for verified in (None, True, False):
+            v = replace(r, polygon_verified=verified)
+            assert _record_line(v) == _file_line(v)
+            assert _record_line(v, compact=True) == _cli_line(v)
+
+
+class _Small(IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("record", [
+    # fields of types a census never gives take the json.dumps path; the
+    # free rotation, with no cone pairs, takes the direct one
+    CensusRecord(DataSet(2, 0, 0, (ConePair(1, 2),) * 4), "1", "type2", None),
+    CensusRecord(DataSet(2, 0, 0, (ConePair(1, 2),) * 4), 1, "other", None),
+    CensusRecord(DataSet(2, 0, 0, (ConePair(1, 2),) * 4), 1, 'q"uote', 1),
+    CensusRecord(DataSet(2, 0, 0, (ConePair(1, 2),) * 4), 1, "type2", 0),
+    CensusRecord(DataSet(_Small.TWO, 0, 0, (ConePair(1, 2),)), 1, "type2", None),
+    CensusRecord(DataSet(2, 0, 0, (ConePair(1, _Small.TWO),)), 1, "type2", None),
+    CensusRecord(DataSet(3, 1, 1), 4, "rotational", None),
+])
+def test_record_lines_of_unusual_records_equal_json_dumps(record):
+    assert _record_line(record) == _file_line(record)
+    assert _record_line(record, compact=True) == _cli_line(record)
+
+
+def test_class_per_multiset_equals_classify():
+    records = _census_records(range(2, 21))
+    free = full = 0
+    for r in records:
+        assert r.action_class == classify(r.data_set).label, r
+        d = r.data_set
+        free += d.rotation != 0
+        full += bool(d.cone_pairs) and all(p.order == d.degree
+                                           for p in d.cone_pairs)
+    # both cases the class rule singles out occur
+    assert free and full
+    # and so do the records whose residues decide their class, such as
+    # (5,1;(1,5),(4,5)) and (2,1;(1,2)x4)
+    for n, g in ((5, 5), (2, 3)):
+        assert any(label is None for _, _, label in _cell(n, g))
+
+
+@st.composite
+def _cells(draw):
+    # (degree, genus) of any cell, or of one that holds free rotations
+    if draw(st.booleans()):
+        g = draw(st.integers(min_value=0, max_value=14))
+        n = draw(st.integers(min_value=1, max_value=cyclic_degree_cap(max(g, 2))))
+        return n, g
+    n = draw(st.integers(min_value=1, max_value=12))
+    return n, 1 + n * draw(st.integers(min_value=0, max_value=3))
+
+
+@given(_cells())
+@example((2, 1))    # (1,2)x4 is all full order, and rotational
+@example((2, 3))    # free rotations beside (1,2)x8 and (1,2)x4
+@example((5, 2))    # only all-full-order multisets
+@example((12, 13))  # free rotations beside cone sets of g0 = 0 and 1
+@example((5, 5))    # (1,5),(4,5) over g0 = 1: two full-order cones
+@example((10, 2))
+def test_cells_are_sorted_by_text_without_duplicates(cell):
+    n, g = cell
+    entries = _cell(n, g)
+    sets = [d for _, d, _ in entries]
+    assert [text for text, _, _ in entries] == [format_data_set(d) for d in sets]
+    assert sets == sorted(sets, key=format_data_set)
+    assert len(set(sets)) == len(sets)
+    for _, d, label in entries:
+        if label is None:
+            l = d.num_pairs
+            assert l % 2 == 0 and (l == 2) == (n > 2), d
+            assert all(p.order == n for p in d.cone_pairs), d
+        else:
+            assert label == classify(d).label, d
+
+
+_GOOD = {"degree": 5, "quotient_genus": 0, "rotation": 0,
+         "cone_pairs": [[1, 5], [1, 5], [3, 5]], "genus": 2,
+         "class": "type1-irreducible", "polygon_verified": True}
+
+
+def _with(field, value, slot=None):
+    obj = json.loads(json.dumps(_GOOD))
+    if slot is None:
+        obj[field] = value
+    else:
+        obj["cone_pairs"][1][slot] = value
+    return obj
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+@pytest.mark.parametrize("field, slot", [
+    ("cone_pairs", 0), ("cone_pairs", 1), ("degree", None),
+    ("quotient_genus", None),
+])
+def test_read_census_rejects_non_integers(tmp_path, field, slot, value):
+    path = tmp_path / "bad.jsonl"
+    # the good line first: its pairs are in the reader's table when the
+    # bad line arrives, and (True, 5) would find the (1, 5) there
+    bad = _with(field, value, slot)
+    path.write_text(json.dumps(_GOOD) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=r"line 2: .* must be an integer"):
+        read_census(path)
+
+
+def test_read_census_shares_cone_pairs_within_a_file(tmp_path):
+    records = census(CensusQuery(genus=3, degrees=(7, 8, 12)), workers=1)
+    path = tmp_path / "c.jsonl"
+    write_census(records, path)
+    back = read_census(path)
+    assert back == records
+    by_value = {}
+    for r in back:
+        for p in r.data_set.cone_pairs:
+            assert by_value.setdefault((p.c, p.order), p) is p

@@ -65,6 +65,30 @@ def test_non_decimal_digits_are_parse_errors(template, digit, capsys):
     assert "parse error" in err
 
 
+def test_cone_pair_limit_is_reached_exactly():
+    d = parse_data_set("(2,0;(1,2)×1000000)")
+    assert d.num_pairs == 10**6
+    d = parse_data_set("(2,0;(1,2)×999999,(1,2))")
+    assert d.num_pairs == 10**6
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(2,0;(1,2)×1000001)", 11),
+    ("(2,0;(1,2)x 1000001)", 12),
+    ("(2,0;(1,2)×999999,(1,2)×2)", 24),
+    ("(2,0;(1,2)×1000000000)", 11),
+    # a plain pair past the limit: the position after it
+    ("(2,0;(1,2)×1000000,(1,2))", 24),
+])
+def test_cone_pair_limit_plus_one_is_a_parse_error(text, position, capsys):
+    with pytest.raises(ParseError, match="more than 1000000 cone pairs") as info:
+        parse_data_set(text)
+    assert info.value.position == position
+    code, out, err = run(["genus", text], capsys)
+    assert (code, out) == (2, "")
+    assert "parse error: more than 1000000 cone pairs" in err
+
+
 def test_validate_reports_and_exit(capsys):
     code, out, _ = run(["validate", "(6,0;(1,2),(1,3),(1,6))"], capsys)
     assert code == 0 and out.strip() == "valid"

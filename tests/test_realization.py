@@ -77,6 +77,56 @@ def test_corrupted_pairing_is_reported_not_repaired():
     assert not report.ok
 
 
+_PENTAGON = ds("(5,0;(1,5),(1,5),(3,5))")
+
+
+@pytest.mark.parametrize("pairing", [
+    (1, 3, 2, 5, 4),  # side 1 is its own partner
+    (0, 3, 2, 5, 4),  # side 1 has no partner
+    (6, 3, 2, 5, 4),
+])
+def test_involution_failing_only_at_the_first_side(pairing):
+    # only side 1 breaks the involution; rotation step 0 keeps equivariance
+    report = verify_realization(PolygonPresentation(5, pairing, 0, 5), _PENTAGON)
+    assert not report.involution_ok
+    assert report.equivariance_ok
+    assert report.euler_genus is None
+    assert not report.ok
+
+
+@pytest.mark.parametrize("pairing", [
+    (2, 1, 4, 3, 5),
+    (2, 1, 4, 3, 0),
+    (2, 1, 4, 3, 6),
+])
+def test_involution_failing_only_at_the_last_side(pairing):
+    report = verify_realization(PolygonPresentation(5, pairing, 0, 5), _PENTAGON)
+    assert not report.involution_ok
+    assert report.equivariance_ok
+    assert report.euler_genus is None
+    assert not report.ok
+
+
+@pytest.mark.parametrize("pairing, step", [
+    # the identity pairing commutes with every step; one changed entry
+    # breaks the two indices that read it
+    ((2, 2, 3, 4), 1),        # only the first and the last index fail
+    ((2, 2, 3, 4, 5, 6), 2),  # only the first and the fifth index fail
+    ((1, 2, 3, 4, 5, 5), 2),  # only the fourth and the last index fail
+])
+def test_equivariance_failing_at_the_first_or_last_index(pairing, step):
+    # the failures around one orbit of the rotation come in pairs: their
+    # offsets sum to zero mod k, so no pairing fails at one index alone
+    k = len(pairing)
+    failing = [i for i in range(k) if (pairing[(i + step) % k] - 1) % k
+               != (pairing[i] - 1 + step) % k]
+    assert len(failing) == 2 and (failing[0] == 0 or failing[-1] == k - 1)
+    report = verify_realization(PolygonPresentation(k, pairing, step, k),
+                                _PENTAGON)
+    assert not report.equivariance_ok
+    assert not report.ok
+
+
 def test_all_small_irreducible_sets_verify():
     checked = 0
     for n in range(2, 15):
