@@ -42,7 +42,9 @@ free rotation is always rotational.  Both JSON line formats, the file's
 (``sort_keys=True``) and the CLI's (compact separators), are rendered from a
 record's integers by one function, byte for byte equal to ``json.dumps`` of
 :func:`record_to_json`; :func:`read_census` builds one ``ConePair`` per
-``(c, order)`` of a file.
+``(c, order)`` of a file.  No step keeps a recursive closure, so a census
+and its read-back leave no garbage for the cycle collector, whose full
+passes would otherwise land inside census calls.
 
 :func:`enumerate_irreducible` filters the generator's output by class
 rather than enumerating irreducible sets on its own.
@@ -129,22 +131,27 @@ def _order_multisets(n: int, target: int) -> list[tuple[int, ...]]:
     divs = _divisors(n)
     weights = [n - n // d for d in divs]
     out: list[tuple[int, ...]] = []
-
-    def rec(start: int, remaining: int, acc: list[int]) -> None:
-        if remaining == 0:
-            if acc:
-                out.append(tuple(acc))
-            return
-        for i in range(start, len(divs)):
-            w = weights[i]
-            if w > remaining:
-                break
-            acc.append(divs[i])
-            rec(i, remaining - w, acc)
-            acc.pop()
-
-    rec(0, target, [])
+    _extend_multisets(out, divs, weights, 0, target, [])
     return out
+
+
+def _extend_multisets(out: list[tuple[int, ...]], divs: list[int],
+                      weights: list[int], start: int, remaining: int,
+                      acc: list[int]) -> None:
+    # the depth-first step of _order_multisets; a module-level function, so
+    # that no closure refers to itself and every call is freed by reference
+    # counting rather than left to the cycle collector
+    if remaining == 0:
+        if acc:
+            out.append(tuple(acc))
+        return
+    for i in range(start, len(divs)):
+        w = weights[i]
+        if w > remaining:
+            break
+        acc.append(divs[i])
+        _extend_multisets(out, divs, weights, i, remaining - w, acc)
+        acc.pop()
 
 
 def _residue_tuples(n: int, orders: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -176,20 +183,17 @@ def _residue_tuples(n: int, orders: tuple[int, ...]) -> list[tuple[int, ...]]:
     for combo, s in combos[-1]:
         last.setdefault(s, []).append(combo)
 
-    out: list[tuple[int, ...]] = []
-
-    def rec(run_idx: int, weighted: int, acc: tuple[int, ...]) -> None:
-        if run_idx == len(combos) - 1:
-            out.extend(acc + combo for combo in last.get(-weighted % n, ()))
-            return
-        reachable = ahead[run_idx]
-        for combo, s in combos[run_idx]:
-            total = weighted + s
-            if -total % n in reachable:
-                rec(run_idx + 1, total, acc + combo)
-
-    rec(0, 0, ())
-    return out
+    # prefixes over the runs before the last, with their weighted sums, in
+    # enumeration order; a prefix is kept only when the runs after it can
+    # still bring its sum to 0 mod n.  Built run by run, with no recursive
+    # closure, so nothing here is left to the cycle collector.
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for run, reachable in zip(combos[:-1], ahead):
+        prefixes = [(acc + combo, weighted + s)
+                    for acc, weighted in prefixes for combo, s in run
+                    if -(weighted + s) % n in reachable]
+    return [acc + combo for acc, weighted in prefixes
+            for combo in last.get(-weighted % n, ())]
 
 
 def _cell(n: int, g: int) -> list[tuple[str, DataSet, str | None]]:

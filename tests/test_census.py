@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+from collections import Counter
 from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
@@ -305,6 +307,26 @@ def test_census_jsonl_roundtrip(tmp_path):
     path = tmp_path / "census.jsonl"
     assert write_census(records, path) == len(records)
     assert read_census(path) == records
+
+
+def test_census_write_and_read_leave_no_cyclic_garbage(tmp_path):
+    # everything a census, its JSONL write and its read-back allocate is
+    # freed by reference counting; garbage left to the cycle collector
+    # would make its full passes, and their cost, land inside census calls
+    path = tmp_path / "census.jsonl"
+    query = CensusQuery(genus=6)
+    census(query, workers=1)  # load every module the census uses
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        write_census(census(query, workers=1), path)
+        read_census(path)
+        gc.collect()
+        left = Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not left, left
 
 
 def test_read_census_reports_line_numbers(tmp_path):
