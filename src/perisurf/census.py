@@ -456,7 +456,17 @@ def _record_from_json(obj: dict, cones: dict) -> CensusRecord:
     d = _data_set_from_json(obj, cones)
     if not isinstance(d, DataSet):
         raise ValueError("census records hold plain data sets")
-    return CensusRecord(d, obj["genus"], obj["class"], obj["polygon_verified"])
+    g, label, verified = obj["genus"], obj["class"], obj["polygon_verified"]
+    if type(g) is not int:
+        raise ValueError(f"genus must be an integer, got {g!r}")
+    if label not in _LABELS:
+        raise ValueError(f"class must be one of {', '.join(_LABELS)}, "
+                         f"got {label!r}")
+    # by identity: 1 == True and 0.0 == False
+    if verified is not None and verified is not True and verified is not False:
+        raise ValueError("polygon_verified must be true, false or null, "
+                         f"got {verified!r}")
+    return CensusRecord(d, g, label, verified)
 
 
 def write_census(records, path: str | Path) -> int:

@@ -401,7 +401,11 @@ class _Cursor:
         if self.pos == start:
             got = self.peek() or "end of input"
             raise ParseError(f"expected a number, found {got!r}", self.pos)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts from text
+            raise ParseError(f"a number of {self.pos - start} digits is too "
+                             "long", start) from None
 
     def build(self, cls, *args):
         """Construct ``cls(*args)``; its structural errors become parse

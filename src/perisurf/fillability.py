@@ -12,19 +12,23 @@ The second half of the module builds and checks the plane curves
 ``q/p``: ``f dg - g df > 0`` away from the core and ``p f' + q g' < 0``
 everywhere.  Verification is numerical on a sample grid with an explicit
 tolerance; values inside the tolerance band are reported as inconclusive
-rather than silently passed or failed.  Verification and the shape search
-read one lazy stream of per-sample conditions: verification reads all of
-it, while the search stops a shape at its first definite violation and
-decides the corner once per ``K`` and the binding arc once per ``H``; it
-still accepts exactly the shapes ``verify_profile(...).ok`` accepts.
+rather than silently passed or failed.  A profile is built as three arcs
+(binding arc, Hermite arc, collar), each a list made in one pass, and the
+condition values are computed over a window of samples in one pass.
+Verification computes them for the whole grid and scans sample by sample
+only when some value is not clearly of the wanted sign.  The search checks
+a shape arc by arc and drops it at the first arc with a definite violation;
+it decides the corner once per ``K`` and the binding arc once per ``H``,
+and still accepts exactly the shapes ``verify_profile(...).ok`` accepts.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice, pairwise, product
+from itertools import chain, product
 
 from .core import MarkedDataSet, _check_marks, classify
 from .gluing import Assembly, assemble
@@ -313,7 +317,8 @@ class ConditionReport:
 
 def _profile_points(p: int, q: int, K: int, H: float, peak: float,
                     samples: int):
-    """Yield the samples ``(r, f0, g0)`` of the three-arc profile in order.
+    """Yield the binding arc, the Hermite arc and the collar of the profile,
+    in order, each as three lists ``(r, f0, g0)`` of its samples.
 
     Construction never fails on shape grounds: a collar offset that misses
     the corner still produces a curve, and the verifier rejects it.  There
@@ -322,34 +327,46 @@ def _profile_points(p: int, q: int, K: int, H: float, peak: float,
     if samples < 2:
         raise ValueError("need at least two samples")
     a, b = _BINDING_END, _COLLAR_START
+    last = samples - 1
     width = b - a
-    fa, dfa = 2 * H - a * a, -2 * a
+    # r = i / last rises with i: the binding arc is r <= a, the Hermite arc
+    # starts at sample `hermite`, and the collar, r >= b, at sample `collar`
+    hermite = bisect_right(range(samples), a, key=lambda i: i / last)
+    rs = [i / last for i in range(hermite)]
+    squares = [r * r for r in rs]
+    two_h = 2 * H
+    yield rs, [two_h - s for s in squares], squares
+
+    fa, dfa = two_h - a * a, -2 * a
     ga, dga = a * a, 2 * a
     fb, dfb = -b * p - q * K, float(-p)
     gb, dgb = -b * q + p * K, float(-q)
-    bump_scale = (peak - 1.0) * max(1.0, abs(gb))
+    bump = (peak - 1.0) * max(1.0, abs(gb)) * 16
+    collar = bisect_left(range(samples), b, hermite, key=lambda i: i / last)
+    rs = [i / last for i in range(hermite, collar)]
+    fs, gs = [], []
+    for r in rs:
+        t = (r - a) / width
+        t2, t3 = t ** 2, t ** 3
+        h00 = 2 * t3 - 3 * t2 + 1
+        h10w = (t3 - 2 * t2 + t) * width
+        h01 = -2 * t3 + 3 * t2
+        h11w = (t3 - t2) * width
+        fs.append(h00 * fa + h10w * dfa + h01 * fb + h11w * dfb)
+        g = h00 * ga + h10w * dga + h01 * gb + h11w * dgb
+        u = 1 - t
+        gs.append(g + bump * t * t * u * u)
+    yield rs, fs, gs
 
-    for i in range(samples):
-        r = i / (samples - 1)
-        if r <= a:
-            yield r, 2 * H - r * r, r * r
-        elif r >= b:
-            yield r, -r * p - q * K, -r * q + p * K
-        else:
-            t = (r - a) / width
-            t2, t3 = t ** 2, t ** 3
-            h00 = 2 * t3 - 3 * t2 + 1
-            h10 = t3 - 2 * t2 + t
-            h01 = -2 * t3 + 3 * t2
-            h11 = t3 - t2
-            f = h00 * fa + h10 * width * dfa + h01 * fb + h11 * width * dfb
-            g = h00 * ga + h10 * width * dga + h01 * gb + h11 * width * dgb
-            yield r, f, g + bump_scale * 16 * t * t * (1 - t) * (1 - t)
+    qK, pK = q * K, p * K
+    rs = [i / last for i in range(collar, samples)]
+    yield rs, [-r * p - qK for r in rs], [-r * q + pK for r in rs]
 
 
 def _assemble_profile(p: int, q: int, K: int, H: float, peak: float = 1.0,
                       samples: int = 1024) -> ProfilePair:
-    grid, f0, g0 = zip(*_profile_points(p, q, K, H, peak, samples))
+    grid, f0, g0 = (tuple(chain.from_iterable(column)) for column in
+                    zip(*_profile_points(p, q, K, H, peak, samples)))
     return ProfilePair(grid, f0, g0, p, q, K, H)
 
 
@@ -396,28 +413,59 @@ def _require_verifiable(samples: int) -> None:
         raise ValueError("verification needs at least 64 samples")
 
 
-def _checks(points, p: int, q: int):
-    """Yield ``(r, condition, value, wanted_sign)`` along ``points``, at
-    least two samples ``(r, f0, g0)`` in grid order: the contact value
-    ``f g' - f' g`` (wanted positive, skipped at the binding core ``r = 0``)
-    and then the symplectic value ``p f' + q g'`` (wanted negative).
+def _condition_values(grid, f0, g0, p: int, q: int, lo: int, hi: int):
+    """Return the contact values ``f g' - f' g`` at samples ``max(lo, 1)``
+    to ``hi - 1`` and the symplectic values ``p f' + q g'`` at samples
+    ``lo`` to ``hi - 1`` of the sequences ``grid``, ``f0`` and ``g0``.
 
-    Derivatives are central differences, one-sided at the two ends.  The
-    stream is lazy: a consumer that stops early computes nothing further.
+    The binding core ``r = 0``, sample 0, is a coordinate degeneracy and has
+    no contact value.  Derivatives are central differences, one-sided at
+    the two ends of the sequences, so a window that stops short of the end
+    reads one sample past ``hi - 1`` and no further.
     """
-    points = iter(points)
-    prev = cur = next(points)
-    for nxt in chain(points, (None,)):
-        # forward difference at the first sample, backward at the last
-        lo, hi = prev, nxt or cur
-        dr = hi[0] - lo[0]
-        df = (hi[1] - lo[1]) / dr
-        dg = (hi[2] - lo[2]) / dr
-        r, f, g = cur
-        if cur is not prev:
-            yield r, "contact", f * dg - df * g, 1
-        yield r, "symplectic", p * df + q * dg, -1
-        prev, cur = cur, nxt
+    if lo >= hi:
+        return [], []
+    last = len(grid) - 1
+
+    def stencil(values):
+        # the samples below and above each sample of the window
+        below = values[lo - 1:hi - 1] if lo else values[:1] + values[:hi - 1]
+        above = values[lo + 1:hi + 1]
+        return below, (above + values[last:] if hi > last else above)
+
+    contact, symplectic = [], []
+    for r_lo, r_hi, f_lo, f_hi, g_lo, g_hi, f, g in zip(
+            *stencil(grid), *stencil(f0), *stencil(g0), f0[lo:hi], g0[lo:hi]):
+        dr = r_hi - r_lo
+        df = (f_hi - f_lo) / dr
+        dg = (g_hi - g_lo) / dr
+        contact.append(f * dg - df * g)
+        symplectic.append(p * df + q * dg)
+    if not lo:
+        del contact[0]  # the core
+    return contact, symplectic
+
+
+def _clear(contact, symplectic, tolerance: float) -> bool:
+    """Whether every contact value is positive and every symplectic value
+    negative, each beyond ``tolerance``: then no value is inconclusive or a
+    violation.  ``False`` only means that a closer look is needed."""
+    # a NaN or negative tolerance has no band, but the sign still counts
+    cut = tolerance if tolerance > 0 else 0
+    return (min(contact, default=math.inf) > cut
+            and max(symplectic, default=-math.inf) < -cut
+            # min and max pass over NaN; a sum does not
+            and not math.isnan(sum(contact) + sum(symplectic)))
+
+
+def _violated(contact, symplectic, tolerance: float) -> bool:
+    """Whether some value is a definite violation: outside the tolerance
+    band, by ``not abs(value) <= tolerance`` as in :func:`verify_profile`
+    (so NaN values and tolerances agree too), and of the wrong sign."""
+    if _clear(contact, symplectic, tolerance):
+        return False
+    return (any(not abs(v) <= tolerance and v > 0 for v in symplectic)
+            or any(not abs(v) <= tolerance and not v > 0 for v in contact))
 
 
 def verify_profile(pp: ProfilePair, tolerance: float = 1e-9) -> ConditionReport:
@@ -431,21 +479,32 @@ def verify_profile(pp: ProfilePair, tolerance: float = 1e-9) -> ConditionReport:
     integer arithmetic this is checked without tolerance and reported under
     the condition id ``"corner"``.
     """
-    _require_verifiable(len(pp.grid))
+    samples = len(pp.grid)
+    _require_verifiable(samples)
+    if not len(pp.f0) == len(pp.g0) == samples:
+        raise ValueError("grid, f0 and g0 differ in length")
+    contact, symplectic = _condition_values(pp.grid, pp.f0, pp.g0,
+                                            pp.p, pp.q, 0, samples)
     contact_ok, symplectic_ok = True, True
     first_violation = None
     inconclusive = []
-    for r, name, value, wanted_sign in _checks(
-            zip(pp.grid, pp.f0, pp.g0, strict=True), pp.p, pp.q):
-        if abs(value) <= tolerance:
-            inconclusive.append((r, name, value))
-        elif (value > 0) != (wanted_sign > 0):
-            if name == "contact":
-                contact_ok = False
-            else:
-                symplectic_ok = False
-            if first_violation is None:
-                first_violation = (r, name, value)
+    if not _clear(contact, symplectic, tolerance):
+        # sample by sample in grid order, the contact value first
+        checks = chain(
+            [(pp.grid[0], "symplectic", symplectic[0], -1)],
+            chain.from_iterable(
+                ((r, "contact", c, 1), (r, "symplectic", s, -1))
+                for r, c, s in zip(pp.grid[1:], contact, symplectic[1:])))
+        for r, name, value, wanted_sign in checks:
+            if abs(value) <= tolerance:
+                inconclusive.append((r, name, value))
+            elif (value > 0) != (wanted_sign > 0):
+                if name == "contact":
+                    contact_ok = False
+                else:
+                    symplectic_ok = False
+                if first_violation is None:
+                    first_violation = (r, name, value)
 
     if not _in_corner(pp.p, pp.q, pp.K):
         symplectic_ok = False
@@ -460,16 +519,13 @@ def verify_profile(pp: ProfilePair, tolerance: float = 1e-9) -> ConditionReport:
 def binding_symplectic_deviation(pp: ProfilePair) -> float:
     """Largest gap between the numeric symplectic form and its closed form
     ``2r(q - p)`` on the interior of the binding arc."""
-    symplectic = ((r, value) for r, name, value, _ in _checks(
-        zip(pp.grid, pp.f0, pp.g0, strict=True), pp.p, pp.q)
-        if name == "symplectic")
-    next(symplectic)  # the core sample has a one-sided difference
-    worst = 0.0
-    for (r, numeric), (r_next, _) in pairwise(symplectic):
-        if r_next >= _BINDING_END:
-            break
-        worst = max(worst, abs(numeric - 2 * r * (pp.q - pp.p)))
-    return worst
+    grid = pp.grid
+    # samples 1 to end - 1, whose stencils end below the binding end
+    end = next((i for i in range(2, len(grid)) if grid[i] >= _BINDING_END),
+               len(grid)) - 1
+    _, symplectic = _condition_values(grid, pp.f0, pp.g0, pp.p, pp.q, 1, end)
+    return max([0.0, *(abs(numeric - 2 * r * (pp.q - pp.p))
+                       for r, numeric in zip(grid[1:end], symplectic))])
 
 
 def search_profiles(p: int, q: int, *, candidates: int = 1000,
@@ -480,13 +536,14 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
     Unlike :func:`build_profile` this accepts negative ``p`` so that both
     orientations of a slope can be probed; it returns the first profile
     passing :func:`verify_profile`, or ``None`` when every candidate fails.
-    Each shape is sampled lazily and dropped at its first definite
-    violation, so an infeasible shape costs a few samples rather than the
-    whole grid.  The corner is decided once per ``K``, and a violation on
-    the binding arc, which reads ``H`` alone, once per ``H``.  The outcome
-    is the one ``verify_profile(...).ok`` gives, from the same floats in
-    the same order at the same tolerance.  ``candidates`` caps the shapes
-    tried, skipped ones included, and must be at least 1.
+    Each shape is built and checked one arc at a time and dropped at the
+    first arc with a definite violation, so an infeasible shape costs the
+    arcs up to that one rather than the whole grid.  The corner is decided
+    once per ``K``, and a violation on the binding arc, which reads ``H``
+    alone, once per ``H``.  The outcome is the one
+    ``verify_profile(...).ok`` gives, from the same floats at the same
+    tolerance.  ``candidates`` caps the shapes tried, skipped ones
+    included, and must be at least 1.
     """
     if candidates < 1:
         raise ValueError(f"candidates must be at least 1, got {candidates}")
@@ -501,24 +558,33 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
     # the binding arc depends on H alone: an H whose shape failed there
     # fails there again, from the same floats, whatever K and peak are
     doomed_hs = set()
-    shapes = product(range(1, 11), range(1, 11), peaks)
-    for K, H, peak in islice(shapes, candidates):
+    for n, (K, H) in enumerate(product(range(1, 11), range(1, 11))):
+        # the budget counts the shapes in order, skipped ones included
+        budget = candidates - n * len(peaks)
+        if budget <= 0:
+            break
         if K not in corner_ks or H in doomed_hs:
             continue  # verification cannot pass
-        points = []
-        recorded = (points.append(pt) or pt for pt in
-                    _profile_points(p, q, K, float(H), peak, samples))
-        # `not abs(value) <= tolerance` rather than `>`: it matches
-        # verify_profile's inconclusive test on NaN as well
-        if not any(not abs(value) <= tolerance
-                   and (value > 0) != (wanted_sign > 0)
-                   for _, _, value, wanted_sign in _checks(recorded, p, q)):
-            grid, f0, g0 = zip(*points)
-            return ProfilePair(grid, f0, g0, p, q, K, float(H))
-        # _checks reads one sample ahead, so the last sample recorded ends
-        # the failing check's stencil
-        if points[-1][0] <= _BINDING_END:
-            doomed_hs.add(H)
+        for peak in peaks[:budget]:
+            grid, f0, g0 = [], [], []
+            arcs = _profile_points(p, q, K, float(H), peak, samples)
+            for arc, (rs, fs, gs) in enumerate(arcs):
+                checked = len(grid)
+                grid += rs
+                f0 += fs
+                g0 += gs
+                # the stencils that lie on the arcs so far
+                end = len(grid) if len(grid) == samples else len(grid) - 1
+                if _violated(*_condition_values(grid, f0, g0, p, q,
+                                                max(checked - 1, 0), end),
+                             tolerance):
+                    break
+            else:
+                return ProfilePair(tuple(grid), tuple(f0), tuple(g0),
+                                   p, q, K, float(H))
+            if arc == 0:  # the other peaks of this H fail there as well
+                doomed_hs.add(H)
+                break
     return None
 
 

@@ -116,6 +116,9 @@ def _polygon(canon: DataSet, g: int) -> PolygonPresentation:
 def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
     """Check a presentation against its data set; never raises.
 
+    A presentation with no sides, or with a pairing whose length is not the
+    side count, fails both checks and has no Euler genus.
+
     The genus of the identified polygon is recomputed from scratch: the
     vertices are counted as the cycles of a permutation of the corners, and
     the Euler characteristic ``V - E + F`` is compared with the genus the
@@ -126,6 +129,9 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
     """
     k = p.sides
     pairing = p.pairing
+    if k < 1 or len(pairing) != k:
+        # no polygon to glue: a pairing must name one partner per side
+        return RealizationReport(None, genus(d), False, False)
 
     # both checks stop at the first index that fails them
     involution_ok = True

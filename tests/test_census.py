@@ -480,6 +480,39 @@ def test_read_census_rejects_non_integers(tmp_path, field, slot, value):
         read_census(path)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"genus": "x", "class": [1], "polygon_verified": "maybe"}, ""),
+    ({"genus": "x"}, "genus must be an integer, got 'x'"),
+    ({"genus": True}, "genus must be an integer, got True"),
+    ({"genus": 2.0}, "genus must be an integer, got 2.0"),
+    ({"genus": None}, "genus must be an integer, got None"),
+    ({"class": [1]}, r"class must be one of .*, got \[1\]"),
+    ({"class": "type3"}, "class must be one of .*, got 'type3'"),
+    ({"class": None}, "class must be one of .*, got None"),
+    ({"polygon_verified": "maybe"},
+     "polygon_verified must be true, false or null, got 'maybe'"),
+    ({"polygon_verified": 1},
+     "polygon_verified must be true, false or null, got 1"),
+    ({"polygon_verified": 0.0},
+     "polygon_verified must be true, false or null, got 0.0"),
+])
+def test_read_census_rejects_bad_record_fields(tmp_path, fields, message):
+    path = tmp_path / "bad.jsonl"
+    bad = dict(_GOOD, **fields)
+    path.write_text(json.dumps(_GOOD) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=f"line 2: {message}"):
+        read_census(path)
+
+
+@pytest.mark.parametrize("verified", [None, True, False])
+def test_read_census_accepts_every_polygon_flag(tmp_path, verified):
+    path = tmp_path / "good.jsonl"
+    path.write_text(json.dumps(dict(_GOOD, polygon_verified=verified)) + "\n")
+    (record,) = read_census(path)
+    assert record.polygon_verified is verified
+    assert (record.genus, record.action_class) == (2, "type1-irreducible")
+
+
 def test_read_census_shares_cone_pairs_within_a_file(tmp_path):
     records = census(CensusQuery(genus=3, degrees=(7, 8, 12)), workers=1)
     path = tmp_path / "c.jsonl"

@@ -1,7 +1,7 @@
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from perisurf.core import (
     ConePair,
@@ -338,6 +338,36 @@ marked_sets = st.builds(
     marks=st.lists(st.integers(min_value=1, max_value=9), min_size=1,
                    max_size=4, unique=True).map(tuple),
 )
+
+
+# every character the tuple notation gives a meaning to, and whitespace
+_GRAMMAR = "()[],;_+-−₊₋×x0123456789 \t"
+
+
+def _spliced(text, at, cut, insert):
+    # a well-formed text with a few characters replaced
+    at = min(at, len(text))
+    return text[:at] + insert + text[at + cut:]
+
+
+# any text fails, if it fails, with a ParseError; codepoints of every
+# category, surrogates included
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=_GRAMMAR, max_size=40)
+       | st.text(st.characters(exclude_categories=()), max_size=40)
+       | st.builds(_spliced, (data_sets | marked_sets).map(format_data_set),
+                   st.integers(min_value=0, max_value=40),
+                   st.integers(min_value=0, max_value=3),
+                   st.text(alphabet=_GRAMMAR, max_size=3)))
+@example("(" + "1" * 5000 + ",0;-)")  # past int()'s limit on digits
+@example("(5,0;(1,5)×" + "9" * 5000 + ")")
+@example("(٣,0;-)")  # a decimal digit outside ASCII
+@example("(5\u2028,0;-)")  # whitespace outside ASCII
+def test_parse_raises_only_parse_errors(text):
+    try:
+        parse_data_set(text)
+    except ParseError:
+        pass
 
 
 @given(data_sets | marked_sets)

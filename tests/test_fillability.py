@@ -533,7 +533,7 @@ def _reference_search(p, q, *, candidates=1000, samples=256, tolerance=1e-9):
        st.integers(min_value=-3, max_value=12),
        st.floats(min_value=0, max_value=11),
        st.sampled_from([0.0, 0.5, 1.0, 2.0, 6.0]),
-       st.sampled_from([64, 256, 1024]),
+       st.sampled_from([64, 65, 256, 257, 1024, 1025]),
        st.booleans(),
        st.sampled_from([1e-9, 0.25]))
 @example(2, 1, 2, 5.0, 1.0, 1024, False, 1e-9)

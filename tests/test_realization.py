@@ -127,6 +127,21 @@ def test_equivariance_failing_at_the_first_or_last_index(pairing, step):
     assert not report.ok
 
 
+@pytest.mark.parametrize("presentation", [
+    PolygonPresentation(0, (), 0, 5),        # no sides to take a step mod
+    PolygonPresentation(4, (2, 1), 0, 5),    # pairing shorter than the sides
+    PolygonPresentation(-2, (), 1, 5),
+    PolygonPresentation(2, (2, 1, 3), 0, 5),  # pairing longer than the sides
+])
+def test_inconsistent_presentation_fails_without_raising(presentation):
+    report = verify_realization(presentation, _PENTAGON)
+    assert not report.involution_ok
+    assert not report.equivariance_ok
+    assert report.euler_genus is None
+    assert report.rh_genus == 2
+    assert not report.ok
+
+
 def test_all_small_irreducible_sets_verify():
     checked = 0
     for n in range(2, 15):
