@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from perisurf.census import CensusQuery, census, write_census
-from perisurf.core import format_data_set
+from perisurf.core import _CLASS_LABELS, format_data_set
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--degrees", type=parse_degrees, default=None,
                     help='degree filter, e.g. "2,3,4" or "1-12"')
     ap.add_argument("--class", dest="action_class", default=None,
-                    choices=["rotational", "type1", "type1-irreducible", "type2"])
+                    choices=_CLASS_LABELS)
     ap.add_argument("--oracle", action="store_true",
                     help="enumerate by brute force instead of the direct generator")
     ap.add_argument("--workers", type=int, default=None)

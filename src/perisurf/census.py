@@ -35,10 +35,11 @@ A cell's records are read from the integers the generator holds.  Each data
 set's text rendering is joined from per-cone strings, and the cell is sorted
 on it, so the output order is that of :func:`perisurf.core.format_data_set`
 without formatting any data set.  The action class is decided once per order
-multiset: :func:`perisurf.core.classify` reads the residues only when the
-cones all have full order and their number is even, 2 exactly when the
-degree exceeds 2, so only those records are classified one by one, and a
-free rotation is always rotational.  Both JSON line formats, the file's
+multiset, by :func:`perisurf.core.classify` on its first data set, unless
+``core._residues_decide`` says that the residues can change it; then each
+record is classified.  The class rule and the tuple of the four class labels
+(``core._CLASS_LABELS``, which the record reader and writer check against)
+live in :mod:`perisurf.core` alone.  Both JSON line formats, the file's
 (``sort_keys=True``) and the CLI's (compact separators), are rendered from a
 record's integers by one function, byte for byte equal to ``json.dumps`` of
 :func:`record_to_json`; :func:`read_census` builds one ``ConePair`` per
@@ -56,7 +57,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
 from math import gcd, isqrt
 from operator import getitem, itemgetter
 from pathlib import Path
@@ -64,8 +65,10 @@ from pathlib import Path
 from .core import (
     ConePair,
     DataSet,
+    _CLASS_LABELS,
     _data_set_from_json,
     _lcm_violations,
+    _residues_decide,
     canonicalize,
     classify,
     data_set_to_json,
@@ -196,16 +199,15 @@ def _residue_tuples(n: int, orders: tuple[int, ...]) -> list[tuple[int, ...]]:
             for combo in last.get(-weighted % n, ())]
 
 
-def _cell(n: int, g: int) -> list[tuple[str, DataSet, str | None]]:
+def _cell(n: int, g: int) -> list[tuple[str, DataSet, str]]:
     # every valid data set of degree n and genus g as (text, data set,
     # class label), in text order; text is format_data_set of the set, built
-    # from the integers, and the label is None where the residues decide it
+    # from the integers for sets with cones
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
     if g < 0:
         raise ValueError(f"genus must be non-negative, got {g}")
-    # a free rotation has a nonzero rotation, so classify calls it rotational
-    cell = [(f"({n},{d.quotient_genus},{d.rotation};-)", d, "rotational")
+    cell = [(format_data_set(d), d, classify(d).label)
             for d in _free_rotations(n, g)]
     # per cone order, each unit c's ConePair and its text "(c,order)";
     # pairs are immutable, so one instance per (c, order) serves all
@@ -232,21 +234,18 @@ def _cell(n: int, g: int) -> list[tuple[str, DataSet, str | None]]:
                     texts[o] = {c: f"({c},{o})" for c in units}
             cone_of = [cones[o] for o in orders]
             text_of = [texts[o] for o in orders]
-            first = DataSet(n, g0, 0, tuple(map(getitem, cone_of, residues[0])))
+            sets = [DataSet(n, g0, 0, tuple(map(getitem, cone_of, cs)))
+                    for cs in residues]
+            first = sets[0]
             assert validate(first).valid and genus(first) == g, first
-            # classify reads the residues only for an even number of cones,
-            # all of full order, that is 2 exactly when n > 2; otherwise one
-            # data set decides the whole multiset
-            l = len(orders)
-            label = None
-            if l % 2 or (l == 2) != (n > 2) or orders[0] != n:
-                label = classify(first).label
-            cell.append((head + ",".join(map(getitem, text_of, residues[0])) + ")",
-                         first, label))
-            for cs in residues[1:]:
-                cell.append((head + ",".join(map(getitem, text_of, cs)) + ")",
-                             DataSet(n, g0, 0, tuple(map(getitem, cone_of, cs))),
-                             label))
+            # one data set decides the class of the whole multiset, unless
+            # the residues can change it
+            if _residues_decide(n, orders):
+                labels = [classify(d).label for d in sets]
+            else:
+                labels = repeat(classify(first).label)
+            cell.extend(zip([head + ",".join(map(getitem, text_of, cs)) + ")"
+                             for cs in residues], sets, labels))
         g0 += 1
     cell.sort(key=itemgetter(0))
     return cell
@@ -295,15 +294,15 @@ def enumerate_oracle(degree: int, g: int) -> list[DataSet]:
 def enumerate_irreducible(degree: int) -> list[DataSet]:
     """All valid irreducible type 1 data sets of this degree (any genus).
 
-    This filters :func:`enumerate_data_sets` by class.  An irreducible set
+    This filters the generator's cells by class label.  An irreducible set
     ``(n,0;(c1,a),(c2,b),(c3,n))`` has genus ``(n+1-n/a-n/b)/2`` by
     Riemann-Hurwitz, at most ``(n-1)/2`` because ``n/a`` and ``n/b`` are at
     least 1, so the cells of genus up to ``(n-1)//2`` hold every one.
     """
-    found = [d for g in range((degree - 1) // 2 + 1)
-             for d in enumerate_data_sets(degree, g)
-             if classify(d).irreducible]
-    return sorted(found, key=format_data_set)
+    found = [row for g in range((degree - 1) // 2 + 1)
+             for row in _cell(degree, g) if row[2] == "type1-irreducible"]
+    found.sort(key=itemgetter(0))
+    return [d for _, d, _ in found]
 
 
 @dataclass(frozen=True)
@@ -353,8 +352,7 @@ def _census_cell(task: tuple[int, int, bool]) -> list[CensusRecord]:
     if use_oracle:
         return [_build_record(d, g, classify(d).label)
                 for d in enumerate_oracle(n, g)]
-    return [_build_record(d, g, label or classify(d).label)
-            for _, d, label in _cell(n, g)]
+    return [_build_record(d, g, label) for _, d, label in _cell(n, g)]
 
 
 def census(query: CensusQuery, *, workers: int | None = None,
@@ -406,9 +404,6 @@ def record_to_json(r: CensusRecord) -> dict:
     return obj
 
 
-_LABELS = ("rotational", "type1", "type1-irreducible", "type2")
-
-
 def _record_line(r: CensusRecord, compact: bool = False) -> str:
     # json.dumps(record_to_json(r), ...) with sort_keys=True (the file
     # format) or, when compact, with separators=(",", ":") (the CLI format).
@@ -418,7 +413,7 @@ def _record_line(r: CensusRecord, compact: bool = False) -> str:
     sep = "," if compact else ", "
     pairs = []
     plain = (type(d) is DataSet and type(g) is int
-             and type(label) is str and label in _LABELS
+             and type(label) is str and label in _CLASS_LABELS
              and (verified is None or verified is True or verified is False)
              and type(d.degree) is type(d.quotient_genus) is type(d.rotation) is int)
     if plain:
@@ -443,10 +438,6 @@ def _record_line(r: CensusRecord, compact: bool = False) -> str:
             f'"quotient_genus": {d.quotient_genus}, "rotation": {d.rotation}}}')
 
 
-def record_from_json(obj: dict) -> CensusRecord:
-    return _record_from_json(obj, {})
-
-
 def _record_from_json(obj: dict, cones: dict) -> CensusRecord:
     # cones: the ConePair table of _data_set_from_json
     if not isinstance(obj, dict):
@@ -459,8 +450,8 @@ def _record_from_json(obj: dict, cones: dict) -> CensusRecord:
     g, label, verified = obj["genus"], obj["class"], obj["polygon_verified"]
     if type(g) is not int:
         raise ValueError(f"genus must be an integer, got {g!r}")
-    if label not in _LABELS:
-        raise ValueError(f"class must be one of {', '.join(_LABELS)}, "
+    if label not in _CLASS_LABELS:
+        raise ValueError(f"class must be one of {', '.join(_CLASS_LABELS)}, "
                          f"got {label!r}")
     # by identity: 1 == True and 0.0 == False
     if verified is not None and verified is not True and verified is not False:

@@ -27,6 +27,7 @@ import sys
 from .core import (
     MarkedDataSet,
     ParseError,
+    _CLASS_LABELS,
     canonicalize,
     classify,
     data_set_to_json,
@@ -482,8 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--max-genus", type=int, dest="max_genus")
     p.add_argument("--degrees", metavar="N,N,...", type=_degrees,
                    help="restrict to these degrees")
-    p.add_argument("--class", dest="action_class",
-                   choices=("rotational", "type1", "type1-irreducible", "type2"),
+    p.add_argument("--class", dest="action_class", choices=_CLASS_LABELS,
                    help="keep one action class")
     p.add_argument("--workers", type=_count, default=None,
                    help="process pool size, at most one per cell and "

@@ -16,7 +16,6 @@ stopping at the first.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -127,6 +126,10 @@ class ValidationReport:
 
     def ids(self) -> tuple[str, ...]:
         return tuple(cond for cond, _ in self.violations)
+
+
+# every label :attr:`ActionClass.label` gives, in the order the CLI lists them
+_CLASS_LABELS = ("rotational", "type1", "type1-irreducible", "type2")
 
 
 @dataclass(frozen=True)
@@ -294,6 +297,15 @@ def validate(d: DataSet | MarkedDataSet) -> ValidationReport:
     return ValidationReport(valid=not violations, violations=violations)
 
 
+def _residues_decide(degree: int, orders: Sequence[int]) -> bool:
+    """Whether the residues can change the class of a data set with these
+    cone orders: an even number of cones, all of full order, and two cones
+    exactly when the degree exceeds 2."""
+    l = len(orders)
+    return (l > 0 and l % 2 == 0 and (l == 2) == (degree > 2)
+            and all(o == degree for o in orders))
+
+
 def classify(d: DataSet | MarkedDataSet) -> ActionClass:
     """Classify the action: rotational, type 1 (maybe irreducible), or type 2."""
     base = d.base if isinstance(d, MarkedDataSet) else d
@@ -301,18 +313,12 @@ def classify(d: DataSet | MarkedDataSet) -> ActionClass:
         return ActionClass("rotational")
     n, pairs = base.degree, base.cone_pairs
     l = len(pairs)
-    if l >= 2 and l % 2 == 0 and all(p.order == n for p in pairs):
-        k = l // 2
-        counts = Counter(p.c for p in pairs)
-        s = min(counts)
-        partner = n - s
-        if 1 <= s <= n - 1 and gcd(s, n) == 1:
-            if s == partner:
-                matches = counts == {s: 2 * k}
-            else:
-                matches = counts == {s: k, partner: k}
-            if matches and (k == 1) == (n > 2):
-                return ActionClass("rotational")
+    if _residues_decide(n, [p.order for p in pairs]):
+        # rotational when the residues are a unit s and n - s, k times each
+        cs = sorted(p.c for p in pairs)
+        s, k = cs[0], l // 2
+        if 1 <= s < n and gcd(s, n) == 1 and cs == [s] * k + [n - s] * k:
+            return ActionClass("rotational")
     if l == 3 and any(p.order == n for p in pairs):
         return ActionClass("type1", irreducible=base.quotient_genus == 0)
     return ActionClass("type2")

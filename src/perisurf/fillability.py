@@ -14,12 +14,12 @@ everywhere.  Verification is numerical on a sample grid with an explicit
 tolerance; values inside the tolerance band are reported as inconclusive
 rather than silently passed or failed.  A profile is built as three arcs
 (binding arc, Hermite arc, collar), each a list made in one pass, and the
-condition values are computed over a window of samples in one pass.
-Verification computes them for the whole grid and scans sample by sample
-only when some value is not clearly of the wanted sign.  The search checks
-a shape arc by arc and drops it at the first arc with a definite violation;
-it decides the corner once per ``K`` and the binding arc once per ``H``,
-and still accepts exactly the shapes ``verify_profile(...).ok`` accepts.
+condition values are computed over a window of samples in one pass.  One
+scan yields a window's inconclusive values and definite violations in grid
+order, and walks the samples only when some value is not clearly of the
+wanted sign.  Verification reads all of it; the search reads it arc by arc,
+drops a shape at its first definite violation, and decides the corner once
+per ``K`` and the binding arc once per ``H``.
 """
 
 from __future__ import annotations
@@ -458,14 +458,30 @@ def _clear(contact, symplectic, tolerance: float) -> bool:
             and not math.isnan(sum(contact) + sum(symplectic)))
 
 
-def _violated(contact, symplectic, tolerance: float) -> bool:
-    """Whether some value is a definite violation: outside the tolerance
-    band, by ``not abs(value) <= tolerance`` as in :func:`verify_profile`
-    (so NaN values and tolerances agree too), and of the wrong sign."""
+def _findings(grid, f0, g0, p: int, q: int, lo: int, hi: int,
+              tolerance: float):
+    """Yield ``(r, condition, value, definite)`` for each condition value of
+    samples ``lo`` to ``hi - 1`` (see :func:`_condition_values`) that is not
+    clearly of the wanted sign, in grid order, the contact value first.
+
+    ``definite`` is false for a value with ``abs(value) <= tolerance`` and
+    true for any other that is not positive (contact) or is positive
+    (symplectic), so a NaN contact value is a violation and a NaN tolerance
+    has no band.  A window that :func:`_clear` passes is not scanned.
+    """
+    contact, symplectic = _condition_values(grid, f0, g0, p, q, lo, hi)
     if _clear(contact, symplectic, tolerance):
-        return False
-    return (any(not abs(v) <= tolerance and v > 0 for v in symplectic)
-            or any(not abs(v) <= tolerance and not v > 0 for v in contact))
+        return
+    start = max(lo, 1)
+    if not lo:  # the core, sample 0, has a symplectic value only
+        s = symplectic[0]
+        if abs(s) <= tolerance or s > 0:
+            yield grid[0], "symplectic", s, not abs(s) <= tolerance
+    for r, c, s in zip(grid[start:], contact, symplectic[start - lo:]):
+        if abs(c) <= tolerance or not c > 0:
+            yield r, "contact", c, not abs(c) <= tolerance
+        if abs(s) <= tolerance or s > 0:
+            yield r, "symplectic", s, not abs(s) <= tolerance
 
 
 def verify_profile(pp: ProfilePair, tolerance: float = 1e-9) -> ConditionReport:
@@ -483,37 +499,19 @@ def verify_profile(pp: ProfilePair, tolerance: float = 1e-9) -> ConditionReport:
     _require_verifiable(samples)
     if not len(pp.f0) == len(pp.g0) == samples:
         raise ValueError("grid, f0 and g0 differ in length")
-    contact, symplectic = _condition_values(pp.grid, pp.f0, pp.g0,
-                                            pp.p, pp.q, 0, samples)
-    contact_ok, symplectic_ok = True, True
-    first_violation = None
-    inconclusive = []
-    if not _clear(contact, symplectic, tolerance):
-        # sample by sample in grid order, the contact value first
-        checks = chain(
-            [(pp.grid[0], "symplectic", symplectic[0], -1)],
-            chain.from_iterable(
-                ((r, "contact", c, 1), (r, "symplectic", s, -1))
-                for r, c, s in zip(pp.grid[1:], contact, symplectic[1:])))
-        for r, name, value, wanted_sign in checks:
-            if abs(value) <= tolerance:
-                inconclusive.append((r, name, value))
-            elif (value > 0) != (wanted_sign > 0):
-                if name == "contact":
-                    contact_ok = False
-                else:
-                    symplectic_ok = False
-                if first_violation is None:
-                    first_violation = (r, name, value)
-
+    findings = list(_findings(pp.grid, pp.f0, pp.g0, pp.p, pp.q, 0, samples,
+                              tolerance))
+    # (r, condition, value) of each definite violation, in grid order
+    violations = [f[:3] for f in findings if f[3]]
     if not _in_corner(pp.p, pp.q, pp.K):
-        symplectic_ok = False
-        if first_violation is None:
-            corner_f = -pp.p - pp.q * pp.K
-            bad = corner_f if corner_f >= 0 else -pp.q + pp.p * pp.K
-            first_violation = (1.0, "corner", float(bad))
-    return ConditionReport(contact_ok, symplectic_ok, first_violation,
-                           tuple(inconclusive))
+        corner_f = -pp.p - pp.q * pp.K
+        bad = corner_f if corner_f >= 0 else -pp.q + pp.p * pp.K
+        violations.append((1.0, "corner", float(bad)))
+    # a corner violation fails the symplectic condition
+    return ConditionReport(all(name != "contact" for _, name, _ in violations),
+                           all(name == "contact" for _, name, _ in violations),
+                           violations[0] if violations else None,
+                           tuple(f[:3] for f in findings if not f[3]))
 
 
 def binding_symplectic_deviation(pp: ProfilePair) -> float:
@@ -569,15 +567,14 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
             grid, f0, g0 = [], [], []
             arcs = _profile_points(p, q, K, float(H), peak, samples)
             for arc, (rs, fs, gs) in enumerate(arcs):
-                checked = len(grid)
+                lo = max(len(grid) - 1, 0)
                 grid += rs
                 f0 += fs
                 g0 += gs
                 # the stencils that lie on the arcs so far
                 end = len(grid) if len(grid) == samples else len(grid) - 1
-                if _violated(*_condition_values(grid, f0, g0, p, q,
-                                                max(checked - 1, 0), end),
-                             tolerance):
+                if any(definite for *_, definite in _findings(
+                        grid, f0, g0, p, q, lo, end, tolerance)):
                     break
             else:
                 return ProfilePair(tuple(grid), tuple(f0), tuple(g0),

@@ -18,6 +18,7 @@ and the ``polygon`` command are its only users.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import DataSet, canonicalize, classify, genus, mod_inverse, validate
 
@@ -116,8 +117,9 @@ def _polygon(canon: DataSet, g: int) -> PolygonPresentation:
 def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
     """Check a presentation against its data set; never raises.
 
-    A presentation with no sides, or with a pairing whose length is not the
-    side count, fails both checks and has no Euler genus.
+    A presentation with no sides, with a pairing whose length is not the
+    side count, or with a side count, rotation step or pairing entry that is
+    not an ``int``, fails both checks and has no Euler genus.
 
     The genus of the identified polygon is recomputed from scratch: the
     vertices are counted as the cycles of a permutation of the corners, and
@@ -129,7 +131,9 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
     """
     k = p.sides
     pairing = p.pairing
-    if k < 1 or len(pairing) != k:
+    if not (isinstance(k, int) and isinstance(p.rotation_step, int)
+            and k >= 1 and len(pairing) == k
+            and all(map(isinstance, pairing, repeat(int)))):
         # no polygon to glue: a pairing must name one partner per side
         return RealizationReport(None, genus(d), False, False)
 

@@ -1,11 +1,14 @@
 import gc
+import importlib.util
 import json
 import os
+import sys
 from collections import Counter
 from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -31,6 +34,7 @@ from perisurf.census import (
 from perisurf.core import (
     ConePair,
     DataSet,
+    _residues_decide,
     _rh_genus,
     classify,
     data_set_from_json,
@@ -414,7 +418,8 @@ def test_class_per_multiset_equals_classify():
     # and so do the records whose residues decide their class, such as
     # (5,1;(1,5),(4,5)) and (2,1;(1,2)x4)
     for n, g in ((5, 5), (2, 3)):
-        assert any(label is None for _, _, label in _cell(n, g))
+        assert any(_residues_decide(n, [p.order for p in d.cone_pairs])
+                   for _, d, _ in _cell(n, g))
 
 
 @st.composite
@@ -523,3 +528,14 @@ def test_read_census_shares_cone_pairs_within_a_file(tmp_path):
     for r in back:
         for p in r.data_set.cone_pairs:
             assert by_value.setdefault((p.c, p.order), p) is p
+
+
+def test_run_census_script_summarizes_genus_two(capsys, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_census.py"
+    spec = importlib.util.spec_from_file_location("run_census", path)
+    script = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, "run_census", script)
+    spec.loader.exec_module(script)
+    assert script.main(["--genus", "2", "--workers", "1"]) == 0
+    assert capsys.readouterr().out.startswith("17 data sets in ")

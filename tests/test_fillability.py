@@ -535,7 +535,7 @@ def _reference_search(p, q, *, candidates=1000, samples=256, tolerance=1e-9):
        st.sampled_from([0.0, 0.5, 1.0, 2.0, 6.0]),
        st.sampled_from([64, 65, 256, 257, 1024, 1025]),
        st.booleans(),
-       st.sampled_from([1e-9, 0.25]))
+       st.sampled_from([1e-9, 0.25, 0.0, -1.0, math.nan, math.inf]))
 @example(2, 1, 2, 5.0, 1.0, 1024, False, 1e-9)
 @example(5, -1, 10, 3.0, 1.0, 256, False, 1e-9)
 @example(2, 3, 2, 1.0, 1.0, 256, True, 1e-9)

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -132,6 +134,10 @@ def test_equivariance_failing_at_the_first_or_last_index(pairing, step):
     PolygonPresentation(4, (2, 1), 0, 5),    # pairing shorter than the sides
     PolygonPresentation(-2, (), 1, 5),
     PolygonPresentation(2, (2, 1, 3), 0, 5),  # pairing longer than the sides
+    PolygonPresentation(2, ("a", "b"), 0, 5),  # pairing entries not ints
+    PolygonPresentation(2, (7.5, 1), 0, 5),    # one out of range, not an int
+    PolygonPresentation(2, (2, 1), 0.5, 5),    # rotation step not an int
+    PolygonPresentation(2.0, (2, 1), 0, 5),    # side count not an int
 ])
 def test_inconsistent_presentation_fails_without_raising(presentation):
     report = verify_realization(presentation, _PENTAGON)
@@ -191,3 +197,15 @@ def test_svg_output(tmp_path):
     content = target.read_text()
     assert content.startswith("<svg")
     assert content.count("<path") == 5  # one chord per side pair
+
+
+def test_polygon_gallery_script_draws_and_verifies(tmp_path, capsys):
+    path = (Path(__file__).resolve().parents[1] / "scripts"
+            / "polygon_gallery.py")
+    spec = importlib.util.spec_from_file_location("polygon_gallery", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--max-degree", "6", "--out-dir", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("*.svg"))) == 12
+    assert capsys.readouterr().out.endswith(
+        f"12 polygons -> {tmp_path}/, 0 verification failures\n")
