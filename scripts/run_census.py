@@ -12,21 +12,9 @@ import argparse
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 from perisurf.census import CensusQuery, census, write_census
 from perisurf.core import _CLASS_LABELS, format_data_set
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    genus: int | None
-    max_genus: int | None
-    degrees: tuple[int, ...] | None
-    action_class: str | None
-    oracle: bool
-    workers: int | None
-    out: str | None
 
 
 def parse_degrees(text: str) -> tuple[int, ...]:
@@ -53,24 +41,23 @@ def main(argv: list[str] | None = None) -> int:
                     choices=_CLASS_LABELS)
     ap.add_argument("--oracle", action="store_true",
                     help="enumerate by brute force instead of the direct generator")
-    ap.add_argument("--workers", type=int, default=None)
+    ap.add_argument("--workers", type=int, default=None,
+                    help="accepted for compatibility; the census always runs "
+                         "in one process")
     ap.add_argument("--out", default=None, help="JSONL output path (default: stdout summary only)")
     args = ap.parse_args(argv)
 
-    cfg = SweepConfig(args.genus, args.max_genus, args.degrees,
-                      args.action_class, args.oracle, args.workers, args.out)
-
-    query = CensusQuery(genus=cfg.genus, max_genus=cfg.max_genus,
-                        degrees=cfg.degrees, action_class=cfg.action_class)
+    query = CensusQuery(genus=args.genus, max_genus=args.max_genus,
+                        degrees=args.degrees, action_class=args.action_class)
     t0 = time.perf_counter()
-    records = census(query, workers=cfg.workers, oracle=cfg.oracle)
+    records = census(query, workers=args.workers, oracle=args.oracle)
     dt = time.perf_counter() - t0
 
     by_cell = Counter((r.genus, r.data_set.degree) for r in records)
     by_class = Counter(r.action_class for r in records)
 
     print(f"{len(records)} data sets in {dt:.2f}s "
-          f"({'oracle' if cfg.oracle else 'direct'} enumeration)")
+          f"({'oracle' if args.oracle else 'direct'} enumeration)")
     for (g, n), k in sorted(by_cell.items()):
         print(f"  genus {g}, degree {n}: {k}")
     for label, k in sorted(by_class.items()):
@@ -84,9 +71,9 @@ def main(argv: list[str] | None = None) -> int:
             print("  " + format_data_set(r.data_set))
         return 1
 
-    if cfg.out:
-        count = write_census(records, cfg.out)
-        print(f"wrote {count} records to {cfg.out}")
+    if args.out:
+        count = write_census(records, args.out)
+        print(f"wrote {count} records to {args.out}")
     return 0
 
 

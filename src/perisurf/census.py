@@ -54,7 +54,6 @@ rather than enumerating irreducible sets on its own.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product, repeat
@@ -347,52 +346,35 @@ def _build_record(d: DataSet, g: int, label: str) -> CensusRecord:
     return CensusRecord(d, g, label, verified)
 
 
-def _census_cell(task: tuple[int, int, bool]) -> list[CensusRecord]:
-    n, g, use_oracle = task
-    if use_oracle:
-        return [_build_record(d, g, classify(d).label)
-                for d in enumerate_oracle(n, g)]
-    return [_build_record(d, g, label) for _, d, label in _cell(n, g)]
-
-
 def census(query: CensusQuery, *, workers: int | None = None,
            oracle: bool = False) -> list[CensusRecord]:
     """Run a census; deterministic output order (genus, then degree).
 
-    ``workers`` caps the process pool (default: available parallelism; 1
-    runs serially); the degree/genus grid is the partition unit, so results
-    are independent of the worker count, and the pool never starts more
-    processes than there are cells or cores.  Raises ``ValueError`` when
-    ``workers`` is below 1.
+    Every degree/genus cell runs in order in the calling process.  The
+    class filter drops rows before their records, and polygons, are built.
+    ``workers`` is accepted for compatibility and no longer changes how the
+    census runs; it raises ``ValueError`` when below 1.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    tasks: list[tuple[int, int, bool]] = []
+    wanted = query.action_class
+    records: list[CensusRecord] = []
     for g in query.genus_range():
         if query.degrees is not None:
             degs = query.degrees
         elif g >= 2:
-            degs = tuple(range(1, cyclic_degree_cap(g) + 1))
+            degs = range(1, cyclic_degree_cap(g) + 1)
         else:
             raise ValueError(
                 "a census below genus 2 has infinitely many data sets; "
                 "restrict it with a degree filter")
-        tasks.extend((n, g, oracle) for n in degs)
-
-    cores = os.cpu_count() or 1
-    workers = min(cores if workers is None else workers, len(tasks), cores)
-    if workers > 1:
-        # imported here: the pool modules cost a serial run or a plain
-        # ``import perisurf`` about 30 ms
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_census_cell, tasks))
-    else:
-        chunks = [_census_cell(t) for t in tasks]
-
-    records = [rec for chunk in chunks for rec in chunk]
-    if query.action_class is not None:
-        records = [r for r in records if r.action_class == query.action_class]
+        for n in degs:
+            if oracle:
+                rows = ((d, classify(d).label) for d in enumerate_oracle(n, g))
+            else:
+                rows = ((d, label) for _, d, label in _cell(n, g))
+            records.extend([_build_record(d, g, label) for d, label in rows
+                            if wanted is None or label == wanted])
     return records
 
 

@@ -486,8 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="action_class", choices=_CLASS_LABELS,
                    help="keep one action class")
     p.add_argument("--workers", type=_count, default=None,
-                   help="process pool size, at most one per cell and "
-                        "core (default: all cores)")
+                   help="accepted for compatibility; the census always "
+                        "runs in one process, whatever the value")
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force enumerator")
     p.add_argument("--output", metavar="PATH",

@@ -555,6 +555,8 @@ def data_set_to_json(d: DataSet | MarkedDataSet) -> dict:
 
 
 def data_set_from_json(obj: dict) -> DataSet | MarkedDataSet:
+    """Rebuild a data set from its JSON object; any malformed value, of
+    whatever JSON type, raises ``ValueError``."""
     return _data_set_from_json(obj, {})
 
 
@@ -576,13 +578,17 @@ def _data_set_from_json(obj: dict, cones: dict) -> DataSet | MarkedDataSet:
                 cone = ConePair(c, n)
             pairs.append(cone)
         base = DataSet(degree, g0, rotation, tuple(pairs))
+        if "sign" in obj or "marks" in obj:
+            if not ("sign" in obj and "marks" in obj):
+                raise ValueError("marked data sets need both 'sign' and 'marks'")
+            return MarkedDataSet(base, obj["sign"], tuple(obj["marks"]))
+        return base
     except KeyError as e:
         raise ValueError(f"missing data set field {e.args[0]!r}") from None
-    if "sign" in obj or "marks" in obj:
-        if not ("sign" in obj and "marks" in obj):
-            raise ValueError("marked data sets need both 'sign' and 'marks'")
-        return MarkedDataSet(base, obj["sign"], tuple(obj["marks"]))
-    return base
+    except TypeError as e:
+        # a field of the wrong JSON type: cone_pairs or marks that are not
+        # lists, or a degree, residue or mark that is not an integer
+        raise ValueError(str(e)) from None
 
 
 def validation_report_to_json(r: ValidationReport) -> dict:

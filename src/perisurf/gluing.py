@@ -426,13 +426,11 @@ def assembly_to_json(a: Assembly) -> dict:
 
 def assembly_from_json(obj: dict) -> Assembly:
     """Rebuild an assembly; pieces may be JSON objects or tuple notation."""
-    if not isinstance(obj, dict) or "pieces" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("pieces"), list):
         raise ValueError("assembly JSON needs a 'pieces' list")
-    try:
-        pieces = tuple(parse_data_set(p) if isinstance(p, str)
-                       else data_set_from_json(p) for p in obj["pieces"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed assembly piece: {exc}") from None
+    # both piece readers raise only ValueError
+    pieces = tuple(parse_data_set(p) if isinstance(p, str)
+                   else data_set_from_json(p) for p in obj["pieces"])
     for k, p in enumerate(pieces):
         if not isinstance(p, MarkedDataSet):
             raise ValueError(f"assembly piece {k} must be a marked data set")

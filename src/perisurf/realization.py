@@ -115,11 +115,14 @@ def _polygon(canon: DataSet, g: int) -> PolygonPresentation:
 
 
 def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
-    """Check a presentation against its data set; never raises.
+    """Check a presentation against its data set.
 
-    A presentation with no sides, with a pairing whose length is not the
-    side count, or with a side count, rotation step or pairing entry that is
-    not an ``int``, fails both checks and has no Euler genus.
+    Raises ``ValueError`` only when the data set has no surface genus, that
+    is when :func:`perisurf.core.genus` of it is not a non-negative integer;
+    no presentation makes it raise.  A presentation with no sides, with a
+    pairing that is not a tuple or list or whose length is not the side
+    count, or with a side count, rotation step or pairing entry that is not
+    an ``int``, fails both checks and has no Euler genus.
 
     The genus of the identified polygon is recomputed from scratch: the
     vertices are counted as the cycles of a permutation of the corners, and
@@ -132,7 +135,8 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
     k = p.sides
     pairing = p.pairing
     if not (isinstance(k, int) and isinstance(p.rotation_step, int)
-            and k >= 1 and len(pairing) == k
+            and k >= 1 and isinstance(pairing, (tuple, list))
+            and len(pairing) == k
             and all(map(isinstance, pairing, repeat(int)))):
         # no polygon to glue: a pairing must name one partner per side
         return RealizationReport(None, genus(d), False, False)

@@ -347,6 +347,8 @@ def test_census_prints_json_lines_in_both_modes(capsys):
     code, plain, _ = run(argv, capsys)
     assert code == 0 and plain
     assert run(argv + ["--json"], capsys) == (0, plain, "")
+    # --workers changes nothing in the output
+    assert run(argv[:-1] + ["2"], capsys) == (0, plain, "")
 
 
 def test_format_env_variable(capsys, monkeypatch):

@@ -380,6 +380,45 @@ def test_json_roundtrip(d):
     assert data_set_from_json(data_set_to_json(d)) == d
 
 
+# any JSON value: null, booleans, numbers, strings, arrays and objects
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12)
+
+_FIELDS = ("degree", "quotient_genus", "rotation", "cone_pairs", "sign",
+           "marks")
+_PENTAGON_JSON = {"degree": 5, "quotient_genus": 0, "rotation": 0,
+                  "cone_pairs": [[1, 5], [1, 5], [3, 5]]}
+
+
+def _with_field(obj, key, value):
+    # a data set's JSON object with one field replaced or added
+    return dict(obj, **{key: value})
+
+
+# any JSON fails, if it fails, with a ValueError
+@settings(deadline=None)
+@given(_json_values
+       | st.builds(_with_field, (data_sets | marked_sets).map(data_set_to_json),
+                   st.sampled_from(_FIELDS),
+                   _json_values | st.lists(st.lists(_json_values, max_size=3),
+                                           max_size=3)))
+@example(dict(_PENTAGON_JSON, cone_pairs=3))
+@example(dict(_PENTAGON_JSON, cone_pairs=None))
+@example(dict(_PENTAGON_JSON, cone_pairs=[["a", 5]]))
+@example(dict(_PENTAGON_JSON, degree="5"))
+@example(dict(_PENTAGON_JSON, sign="+", marks=3))
+def test_data_set_from_json_raises_only_value_errors(obj):
+    try:
+        d = data_set_from_json(obj)
+    except ValueError:
+        return
+    assert data_set_from_json(data_set_to_json(d)) == d
+
+
 @given(data_sets)
 def test_canonicalize_permutation_is_a_permutation(d):
     canon, perm = canonicalize(d)

@@ -279,6 +279,14 @@ def test_assembly_json_rejects_malformed_payloads():
         assembly_from_json({"edges": []})  # no pieces at all
     with pytest.raises(ValueError):
         assembly_from_json({"pieces": [None]})
+    piece = "(6_+,0;(1,2),(1,3),(1,6),[3])"
+    for pieces in (3, None, piece, {piece: 1}):  # not a list of pieces
+        with pytest.raises(ValueError, match="needs a 'pieces' list"):
+            assembly_from_json({"pieces": pieces})
+    with pytest.raises(ValueError, match="c must be an integer"):
+        assembly_from_json({"pieces": [{"degree": 5, "quotient_genus": 0,
+                                        "rotation": 0,
+                                        "cone_pairs": [["a", 5]]}]})
     with pytest.raises(ValueError):
         assembly_from_json({"pieces": ["(6_+,0;(1,2),(1,3),(1,6),[3])"] * 2,
                             "edges": [{"left": [0, 3]}]})  # edge missing a side

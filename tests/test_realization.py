@@ -138,6 +138,8 @@ def test_equivariance_failing_at_the_first_or_last_index(pairing, step):
     PolygonPresentation(2, (7.5, 1), 0, 5),    # one out of range, not an int
     PolygonPresentation(2, (2, 1), 0.5, 5),    # rotation step not an int
     PolygonPresentation(2.0, (2, 1), 0, 5),    # side count not an int
+    PolygonPresentation(2, None, 0, 5),        # pairing not a sequence
+    PolygonPresentation(2, 7, 0, 5),
 ])
 def test_inconsistent_presentation_fails_without_raising(presentation):
     report = verify_realization(presentation, _PENTAGON)
@@ -146,6 +148,13 @@ def test_inconsistent_presentation_fails_without_raising(presentation):
     assert report.euler_genus is None
     assert report.rh_genus == 2
     assert not report.ok
+
+
+def test_data_set_without_a_genus_raises_value_error():
+    # the one exception verify_realization raises: genus() of the data set
+    with pytest.raises(ValueError, match="not a non-negative integer"):
+        verify_realization(PolygonPresentation(2, (2, 1), 0, 5),
+                           parse_data_set("(5,0;(1,5))"))
 
 
 def test_all_small_irreducible_sets_verify():
