@@ -21,15 +21,29 @@ filter.
 
 The generator works in integers: deficiencies are scaled by the degree, and
 order multisets that fail the lcm condition ``iv`` are dropped before any
-residue tuple is built for them.  Residue tuples are extended only while some
-completion can still make the weighted sum divisible by the degree, so
-condition ``v`` holds by construction.  Conditions ``i``, ``ii``, ``iv`` and
-the genus depend only on the order multiset and ``iii`` holds by the choice
-of units, so :func:`perisurf.core.validate` runs once per order multiset, on
-its first emitted data set, rather than once per data set; a free rotation
-cell is checked the same way, on its first unit.  Tests hold every
-emitted data set valid over random cells, and the oracle equal to the
-generator on a grid.
+residue tuple is built for them.  Residue tuples are built over every run of
+equal orders but the last, and the last residue is solved for: with
+``w = n // order`` for the last run, a completion exists only when ``w``
+divides what the other residues leave of the weighted sum mod ``n``, and
+then it is the one residue mod ``order`` that brings the sum to 0; it is
+kept when it is a unit no smaller than the run's previous residue.  So
+condition ``v`` holds by construction, and a cell with two full-order cones
+costs one step per unit rather than one per pair of units.  Conditions
+``i``, ``ii``, ``iv`` and the genus depend only on the order multiset and
+``iii`` holds by the choice of units, so :func:`perisurf.core.validate`
+runs once per order multiset, on its first emitted data set, rather than
+once per data set; a free rotation cell is checked the same way, on its
+first unit.  Tests hold every emitted data set valid over random cells, and
+the oracle equal to the generator on a grid.
+
+Each irreducible record gets its own polygon, and its ``polygon_verified``
+is what :func:`perisurf.realization.verify_realization` would say of it.
+The checks that read the pairing alone (the involution and the Euler genus
+from the vertex cycles) run once per distinct pairing in one
+:func:`census` call, which has far fewer distinct pairings than polygons
+(136 for the 738 polygons of genera 4 to 10); equivariance under the
+rotation step and the comparison with the record's genus run per record.
+Nothing is kept from one call to the next.
 
 A cell's records are read from the integers the generator holds.  Each data
 set's text rendering is joined from per-cone strings, and the cell is sorted
@@ -75,7 +89,7 @@ from .core import (
     genus,
     validate,
 )
-from .realization import _polygon, verify_realization
+from .realization import _equivariant, _pairing_checks, _polygon
 
 
 def _divisors(n: int) -> list[int]:
@@ -165,37 +179,43 @@ def _residue_tuples(n: int, orders: tuple[int, ...]) -> list[tuple[int, ...]]:
             runs[-1] = (o, runs[-1][1] + 1)
         else:
             runs.append((o, 1))
+    *head_runs, (order, count) = runs
 
-    # each run's combos with their weighted sums mod n, and ahead[i], the
-    # sums mod n that the runs after run i can still add; ahead[i] holds at
-    # most min(n, product of those runs' combo counts) sums, so a huge
-    # degree costs no table of one entry per residue
-    combos: list[list[tuple[tuple[int, ...], int]]] = []
-    for order, count in runs:
-        weight = n // order
-        combos.append([(combo, weight * sum(combo) % n) for combo in
-                       combinations_with_replacement(_units(order), count)])
-    ahead: list[set[int]] = [{0}]
-    for run in reversed(combos[1:]):
-        sums = {s for _, s in run}
-        ahead.append({(s + r) % n for s in sums for r in ahead[-1]})
-    ahead.reverse()
-    # the last run is looked up by the sum it must add, in enumeration order
-    last: dict[int, list[tuple[int, ...]]] = {}
-    for combo, s in combos[-1]:
-        last.setdefault(s, []).append(combo)
-
-    # prefixes over the runs before the last, with their weighted sums, in
-    # enumeration order; a prefix is kept only when the runs after it can
-    # still bring its sum to 0 mod n.  Built run by run, with no recursive
-    # closure, so nothing here is left to the cycle collector.
+    # prefixes over the runs before the last, with their weighted sums mod
+    # n, in enumeration order.  Built run by run, with no recursive closure,
+    # so nothing here is left to the cycle collector.
     prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for run, reachable in zip(combos[:-1], ahead):
-        prefixes = [(acc + combo, weighted + s)
-                    for acc, weighted in prefixes for combo, s in run
-                    if -(weighted + s) % n in reachable]
-    return [acc + combo for acc, weighted in prefixes
-            for combo in last.get(-weighted % n, ())]
+    for o, m in head_runs:
+        weight = n // o
+        run = [(combo, weight * sum(combo)) for combo in
+               combinations_with_replacement(_units(o), m)]
+        prefixes = [(acc + combo, (weighted + s) % n)
+                    for acc, weighted in prefixes for combo, s in run]
+
+    # the last run's final residue c is solved for, not searched: with
+    # weight w = n // order, a prefix leaves t = -(its sum) mod n, and
+    # w * c = t mod n has a solution only when w divides t, namely
+    # c = t / w - (the run's other residues) mod order.  It is kept when it
+    # is a unit no smaller than the run's previous residue, and c = 0 never
+    # is one, since gcd(0, order) is order.
+    weight = n // order
+    if count == 1:
+        # no other residues in the run, and no floor below the least unit
+        heads = [((), 0, 1)]
+    else:
+        heads = [(head, sum(head), head[-1]) for head in
+                 combinations_with_replacement(_units(order), count - 1)]
+    out: list[tuple[int, ...]] = []
+    for acc, weighted in prefixes:
+        t = -weighted % n
+        if t % weight:
+            continue
+        r = t // weight
+        for head, s, low in heads:
+            c = (r - s) % order
+            if c >= low and gcd(c, order) == 1:
+                out.append(acc + head + (c,))
+    return out
 
 
 def _cell(n: int, g: int) -> list[tuple[str, DataSet, str]]:
@@ -338,11 +358,23 @@ class CensusRecord:
     polygon_verified: bool | None
 
 
-def _build_record(d: DataSet, g: int, label: str) -> CensusRecord:
+def _build_record(d: DataSet, g: int, label: str,
+                  checked: dict[tuple[int, ...], tuple[bool, int | None]]
+                  ) -> CensusRecord:
+    # checked: the pairing-only checks of each distinct pairing this census
+    # has built, by pairing
     verified = None
     if label == "type1-irreducible":
-        # d comes canonical and valid from the enumerators, with genus g
-        verified = verify_realization(_polygon(d, g), d).ok
+        # d comes canonical and valid from the enumerators, with genus g,
+        # so _polygon gives a well-formed presentation
+        p = _polygon(d, g)
+        pairing = p.pairing
+        shared = checked.get(pairing)
+        if shared is None:
+            shared = checked[pairing] = _pairing_checks(pairing)
+        involution_ok, euler_genus = shared
+        verified = (involution_ok and euler_genus == genus(d)
+                    and _equivariant(pairing, p.rotation_step))
     return CensusRecord(d, g, label, verified)
 
 
@@ -359,6 +391,7 @@ def census(query: CensusQuery, *, workers: int | None = None,
         raise ValueError(f"workers must be at least 1, got {workers}")
     wanted = query.action_class
     records: list[CensusRecord] = []
+    checked: dict[tuple[int, ...], tuple[bool, int | None]] = {}
     for g in query.genus_range():
         if query.degrees is not None:
             degs = query.degrees
@@ -373,7 +406,8 @@ def census(query: CensusQuery, *, workers: int | None = None,
                 rows = ((d, classify(d).label) for d in enumerate_oracle(n, g))
             else:
                 rows = ((d, label) for _, d, label in _cell(n, g))
-            records.extend([_build_record(d, g, label) for d, label in rows
+            records.extend([_build_record(d, g, label, checked)
+                            for d, label in rows
                             if wanted is None or label == wanted])
     return records
 

@@ -568,27 +568,53 @@ def _data_set_from_json(obj: dict, cones: dict) -> DataSet | MarkedDataSet:
         raise ValueError(f"a data set is a JSON object, got {type(obj).__name__}")
     try:
         degree, g0, rotation = obj["degree"], obj["quotient_genus"], obj["rotation"]
+        entries = obj["cone_pairs"]
         pairs = []
-        for c, n in obj["cone_pairs"]:
-            if type(c) is int and type(n) is int:
-                cone = cones.get((c, n))
-                if cone is None:
-                    cone = cones[c, n] = ConePair(c, n)
-            else:
-                cone = ConePair(c, n)
-            pairs.append(cone)
+        try:
+            for c, n in entries:
+                if type(c) is int and type(n) is int:
+                    cone = cones.get((c, n))
+                    if cone is None:
+                        cone = cones[c, n] = ConePair(c, n)
+                else:
+                    cone = ConePair(c, n)
+                pairs.append(cone)
+        except (TypeError, ValueError) as e:
+            # the entry that failed is the one after the pairs built
+            raise ValueError(_cone_pairs_error(entries, len(pairs))
+                             or str(e)) from None
         base = DataSet(degree, g0, rotation, tuple(pairs))
         if "sign" in obj or "marks" in obj:
             if not ("sign" in obj and "marks" in obj):
                 raise ValueError("marked data sets need both 'sign' and 'marks'")
-            return MarkedDataSet(base, obj["sign"], tuple(obj["marks"]))
+            sign, marks = obj["sign"], obj["marks"]
+            try:
+                marks = tuple(marks)
+            except TypeError:
+                raise ValueError("marks must be a list of integers, "
+                                 f"got {type(marks).__name__}") from None
+            return MarkedDataSet(base, sign, marks)
         return base
     except KeyError as e:
         raise ValueError(f"missing data set field {e.args[0]!r}") from None
     except TypeError as e:
-        # a field of the wrong JSON type: cone_pairs or marks that are not
-        # lists, or a degree, residue or mark that is not an integer
+        # a degree, residue or mark that is not an integer
         raise ValueError(str(e)) from None
+
+
+def _cone_pairs_error(entries, i: int) -> str | None:
+    # why reading entry i of cone_pairs failed, when it is the shape: the
+    # field is not a list, or the entry is not an [c, order] pair; None when
+    # the entry has that shape and its values are at fault
+    expected = "cone_pairs must be a list of [c, order] pairs"
+    if not isinstance(entries, (list, tuple)):
+        return f"{expected}, got {type(entries).__name__}"
+    entry = entries[i]
+    if not isinstance(entry, (list, tuple)):
+        return f"{expected}, got an entry of type {type(entry).__name__}"
+    if len(entry) != 2:
+        return f"{expected}, got an entry of length {len(entry)}"
+    return None
 
 
 def validation_report_to_json(r: ValidationReport) -> dict:

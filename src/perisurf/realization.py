@@ -10,6 +10,12 @@ pairing is a fixed-point-free involution commuting with the rotation.  The
 corners glued to one vertex form one cycle of the corner permutation
 ``c -> pairing[c] % sides``, so the vertex count is a cycle count.
 
+The verifier's checks live in two private helpers.  ``_pairing_checks``
+reads the pairing alone: whether it is an involution and, if so, the Euler
+genus from the vertex cycles.  ``_equivariant`` checks that the pairing
+commutes with a rotation step.  The census runs the first once per distinct
+pairing and the second once per polygon.
+
 The module holds the polygon model, its verifier and an SVG drawing, and
 needs nothing but :mod:`perisurf.core`.  Within the package, the census
 and the ``polygon`` command are its only users.
@@ -140,47 +146,53 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
             and all(map(isinstance, pairing, repeat(int)))):
         # no polygon to glue: a pairing must name one partner per side
         return RealizationReport(None, genus(d), False, False)
-
-    # both checks stop at the first index that fails them
-    involution_ok = True
-    for i in range(k):
-        j = pairing[i]
-        if not (1 <= j <= k and j != i + 1 and pairing[j - 1] == i + 1):
-            involution_ok = False
-            break
-
-    s = p.rotation_step % k
-    equivariance_ok = True
-    for i in range(k):
-        if (pairing[(i + s) % k] - 1) % k != (pairing[i] - 1 + s) % k:
-            equivariance_ok = False
-            break
-
-    euler_genus = None
-    if involution_ok:
-        # side x runs corner x-1 -> corner x (mod k); gluing x reversed onto
-        # y identifies start(x) with end(y) = y % k, and end(x) with
-        # start(y), which is the same relation read from side y
-        seen = bytearray(k)
-        vertices = 0
-        for start in range(k):
-            if seen[start]:
-                continue
-            vertices += 1
-            c = start
-            while not seen[c]:
-                seen[c] = 1
-                c = pairing[c] % k
-        chi = vertices - k // 2 + 1
-        if chi <= 2 and (2 - chi) % 2 == 0:
-            euler_genus = (2 - chi) // 2
-
+    involution_ok, euler_genus = _pairing_checks(pairing)
     return RealizationReport(
         euler_genus=euler_genus,
         rh_genus=genus(d),
         involution_ok=involution_ok,
-        equivariance_ok=equivariance_ok,
+        equivariance_ok=_equivariant(pairing, p.rotation_step),
     )
+
+
+def _pairing_checks(pairing) -> tuple[bool, int | None]:
+    # the checks that read the pairing alone, of a nonempty pairing of ints
+    # with one entry per side: whether it is a fixed-point-free involution
+    # and, when it is, the genus of the glued polygon (None when its Euler
+    # characteristic gives none)
+    k = len(pairing)
+    for i in range(k):
+        j = pairing[i]
+        if not (1 <= j <= k and j != i + 1 and pairing[j - 1] == i + 1):
+            return False, None
+    # side x runs corner x-1 -> corner x (mod k); gluing x reversed onto y
+    # identifies start(x) with end(y) = y % k, and end(x) with start(y),
+    # which is the same relation read from side y
+    seen = bytearray(k)
+    vertices = 0
+    for start in range(k):
+        if seen[start]:
+            continue
+        vertices += 1
+        c = start
+        while not seen[c]:
+            seen[c] = 1
+            c = pairing[c] % k
+    chi = vertices - k // 2 + 1
+    if chi <= 2 and (2 - chi) % 2 == 0:
+        return True, (2 - chi) // 2
+    return True, None
+
+
+def _equivariant(pairing, rotation_step: int) -> bool:
+    # whether the pairing commutes with the rotation by rotation_step sides:
+    # side i+s is paired with side pairing[i]+s, all mod the side count
+    k = len(pairing)
+    s = rotation_step % k
+    for i in range(k):
+        if (pairing[(i + s) % k] - 1) % k != (pairing[i] - 1 + s) % k:
+            return False
+    return True
 
 
 def draw_polygon_svg(p: PolygonPresentation, path: str) -> None:

@@ -43,6 +43,7 @@ from perisurf.core import (
     parse_data_set,
     validate,
 )
+from perisurf.realization import polygon_realization, verify_realization
 
 
 def names(records):
@@ -189,10 +190,30 @@ def _residue_tuples_by_filter(n, orders):
                                              min_size=1, max_size=4))))
 @example((12, [2, 3, 4, 12]))
 @example((8, [2, 2]))  # fails the lcm check
+# the last run's final residue is solved: runs of count 2 and 3, and a last
+# run whose weight n // order exceeds 1
+@example((12, [2, 6, 6]))
+@example((8, [4, 4, 4]))
+@example((24, [3, 8, 8]))
+@example((30, [30, 30]))
 def test_residue_tuples_match_filtered_enumeration(cell):
     n, orders = cell
     orders = tuple(sorted(orders))
     assert _residue_tuples(n, orders) == _residue_tuples_by_filter(n, orders)
+
+
+def test_two_full_order_residues_match_filtered_enumeration():
+    for n in range(2, 61):
+        assert _residue_tuples(n, (n, n)) == \
+            _residue_tuples_by_filter(n, (n, n)), n
+
+
+def test_genus_zero_cell_of_a_large_degree():
+    # (c, n), (n - c, n) for each unit c <= n/2: phi(4000)/2 sets, solved
+    # one per unit rather than picked from every pair of units
+    sets = enumerate_data_sets(4000, 0)
+    assert len(sets) == 800
+    assert all(d.cone_pairs[0].c + d.cone_pairs[1].c == 4000 for d in sets)
 
 
 @given(st.integers(min_value=0, max_value=12).flatmap(
@@ -272,6 +293,45 @@ def test_census_class_filter(monkeypatch):
     assert records
     assert all(r.action_class == "rotational" for r in records)
     assert built == []
+
+
+def test_polygon_flags_equal_the_public_verifier():
+    # the census checks each distinct pairing once; every irreducible record
+    # still reads what the public verifier says of its own polygon
+    for g in range(2, 13):
+        irreducible = [r for r in census(CensusQuery(genus=g))
+                       if r.action_class == "type1-irreducible"]
+        assert irreducible
+        for r in irreducible:
+            report = verify_realization(polygon_realization(r.data_set),
+                                        r.data_set)
+            assert r.polygon_verified is report.ok, r.data_set
+
+
+def test_shared_pairing_checks_leave_equivariance_per_record(monkeypatch):
+    # two records of one cell get one pairing, and the second a rotation
+    # step that breaks equivariance: only the second may fail
+    census_module = sys.modules["perisurf.census"]
+    polygon = census_module._polygon
+    # the genus-3 cell of degree 8 has six irreducible sets, and the first
+    # one's pairing commutes only with rotations by an even step
+    query = CensusQuery(genus=3, degrees=(8,))
+    first, second = [r.data_set for r in census(query)
+                     if r.action_class == "type1-irreducible"][:2]
+    shared = polygon(first, 3)
+    bad = next(replace(shared, rotation_step=s) for s in range(shared.sides)
+               if not verify_realization(replace(shared, rotation_step=s),
+                                         second).equivariance_ok)
+
+    def patched(d, g):
+        return shared if d == first else bad if d == second else polygon(d, g)
+
+    monkeypatch.setattr(census_module, "_polygon", patched)
+    flags = {r.data_set: r.polygon_verified for r in census(query)
+             if r.action_class == "type1-irreducible"}
+    assert flags.pop(first) is True
+    assert flags.pop(second) is False
+    assert flags and all(v is True for v in flags.values())
 
 
 def test_census_parallel_matches_serial():

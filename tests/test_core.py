@@ -419,6 +419,33 @@ def test_data_set_from_json_raises_only_value_errors(obj):
     assert data_set_from_json(data_set_to_json(d)) == d
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("cone_pairs", 3,
+     "cone_pairs must be a list of [c, order] pairs, got int"),
+    ("cone_pairs", None,
+     "cone_pairs must be a list of [c, order] pairs, got NoneType"),
+    ("cone_pairs", "ab",
+     "cone_pairs must be a list of [c, order] pairs, got str"),
+    ("cone_pairs", [5],
+     "cone_pairs must be a list of [c, order] pairs, got an entry of type int"),
+    ("cone_pairs", [[1]],
+     "cone_pairs must be a list of [c, order] pairs, got an entry of length 1"),
+    ("cone_pairs", [[1, 5], [1, 5, 3]],
+     "cone_pairs must be a list of [c, order] pairs, got an entry of length 3"),
+    # an entry of the right shape before the malformed one fails first
+    ("cone_pairs", [["a", 5], [1]], "c must be an integer, got 'a'"),
+    ("marks", 3, "marks must be a list of integers, got int"),
+    ("marks", None, "marks must be a list of integers, got NoneType"),
+])
+def test_data_set_from_json_names_the_malformed_field(field, value, message):
+    obj = dict(_PENTAGON_JSON, **{field: value})
+    if field == "marks":
+        obj["sign"] = "+"
+    with pytest.raises(ValueError) as info:
+        data_set_from_json(obj)
+    assert str(info.value) == message
+
+
 @given(data_sets)
 def test_canonicalize_permutation_is_a_permutation(d):
     canon, perm = canonicalize(d)
