@@ -49,9 +49,9 @@ A cell's records are read from the integers the generator holds.  Each data
 set's text rendering is joined from per-cone strings, and the cell is sorted
 on it, so the output order is that of :func:`perisurf.core.format_data_set`
 without formatting any data set.  The action class is decided once per order
-multiset, by :func:`perisurf.core.classify` on its first data set, unless
-``core._residues_decide`` says that the residues can change it; then each
-record is classified.  The class rule and the tuple of the four class labels
+multiset, by :func:`perisurf.core.classify` on its first data set: the
+residues of a valid data set never change its class (the lemma is at
+``_cell``).  The class rule and the tuple of the four class labels
 (``core._CLASS_LABELS``, which the record reader and writer check against)
 live in :mod:`perisurf.core` alone.  Both JSON line formats, the file's
 (``sort_keys=True``) and the CLI's (compact separators), are rendered from a
@@ -81,7 +81,6 @@ from .core import (
     _CLASS_LABELS,
     _data_set_from_json,
     _lcm_violations,
-    _residues_decide,
     canonicalize,
     classify,
     data_set_to_json,
@@ -257,14 +256,13 @@ def _cell(n: int, g: int) -> list[tuple[str, DataSet, str]]:
                     for cs in residues]
             first = sets[0]
             assert validate(first).valid and genus(first) == g, first
-            # one data set decides the class of the whole multiset, unless
-            # the residues can change it
-            if _residues_decide(n, orders):
-                labels = [classify(d).label for d in sets]
-            else:
-                labels = repeat(classify(first).label)
+            # one data set decides the class of the whole multiset.  Where
+            # core._residues_decide holds, every valid set is rotational:
+            # condition v makes the residues a unit c and n - c when n > 2,
+            # and 1 each when n = 2, which is classify's rotational rule.
             cell.extend(zip([head + ",".join(map(getitem, text_of, cs)) + ")"
-                             for cs in residues], sets, labels))
+                             for cs in residues], sets,
+                            repeat(classify(first).label)))
         g0 += 1
     cell.sort(key=itemgetter(0))
     return cell

@@ -265,12 +265,10 @@ def _cmd_veering(args):
 def _cmd_surgery(args):
     from .openbook import surgery_description, surgery_to_json
 
+    # a marked cone's residue is a unit, so its orbit turns: no entry is "none"
     desc = surgery_description(_descriptor(args))
     lines = []
     for e in desc.entries:
-        if e.kind == "none":
-            lines.append(f"orbit {e.orbit}: no surgery")
-            continue
         line = (f"orbit {e.orbit}: {e.kind} surgery, "
                 f"topological {e.topological}, "
                 f"contact {e.contact}")

@@ -300,7 +300,8 @@ def validate(d: DataSet | MarkedDataSet) -> ValidationReport:
 def _residues_decide(degree: int, orders: Sequence[int]) -> bool:
     """Whether the residues can change the class of a data set with these
     cone orders: an even number of cones, all of full order, and two cones
-    exactly when the degree exceeds 2."""
+    exactly when the degree exceeds 2.  They can only for an invalid set,
+    such as ``(5,0;(1,5),(1,5))`` (see ``census._cell``)."""
     l = len(orders)
     return (l > 0 and l % 2 == 0 and (l == 2) == (degree > 2)
             and all(o == degree for o in orders))
@@ -554,6 +555,9 @@ def data_set_to_json(d: DataSet | MarkedDataSet) -> dict:
     return obj
 
 
+_CONE_PAIRS = "cone_pairs must be a list of [c, order] pairs"
+
+
 def data_set_from_json(obj: dict) -> DataSet | MarkedDataSet:
     """Rebuild a data set from its JSON object; any malformed value, of
     whatever JSON type, raises ``ValueError``."""
@@ -569,6 +573,8 @@ def _data_set_from_json(obj: dict, cones: dict) -> DataSet | MarkedDataSet:
     try:
         degree, g0, rotation = obj["degree"], obj["quotient_genus"], obj["rotation"]
         entries = obj["cone_pairs"]
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"{_CONE_PAIRS}, got {type(entries).__name__}")
         pairs = []
         try:
             for c, n in entries:
@@ -580,19 +586,22 @@ def _data_set_from_json(obj: dict, cones: dict) -> DataSet | MarkedDataSet:
                     cone = ConePair(c, n)
                 pairs.append(cone)
         except (TypeError, ValueError) as e:
-            # the entry that failed is the one after the pairs built
-            raise ValueError(_cone_pairs_error(entries, len(pairs))
-                             or str(e)) from None
+            # the entry after the pairs built failed: its shape, when it is
+            # not an [c, order] pair, else its values
+            entry, why = entries[len(pairs)], str(e)
+            if not isinstance(entry, (list, tuple)):
+                why = f"{_CONE_PAIRS}, got an entry of type {type(entry).__name__}"
+            elif len(entry) != 2:
+                why = f"{_CONE_PAIRS}, got an entry of length {len(entry)}"
+            raise ValueError(why) from None
         base = DataSet(degree, g0, rotation, tuple(pairs))
         if "sign" in obj or "marks" in obj:
             if not ("sign" in obj and "marks" in obj):
                 raise ValueError("marked data sets need both 'sign' and 'marks'")
             sign, marks = obj["sign"], obj["marks"]
-            try:
-                marks = tuple(marks)
-            except TypeError:
+            if not isinstance(marks, (list, tuple)):
                 raise ValueError("marks must be a list of integers, "
-                                 f"got {type(marks).__name__}") from None
+                                 f"got {type(marks).__name__}")
             return MarkedDataSet(base, sign, marks)
         return base
     except KeyError as e:
@@ -600,21 +609,6 @@ def _data_set_from_json(obj: dict, cones: dict) -> DataSet | MarkedDataSet:
     except TypeError as e:
         # a degree, residue or mark that is not an integer
         raise ValueError(str(e)) from None
-
-
-def _cone_pairs_error(entries, i: int) -> str | None:
-    # why reading entry i of cone_pairs failed, when it is the shape: the
-    # field is not a list, or the entry is not an [c, order] pair; None when
-    # the entry has that shape and its values are at fault
-    expected = "cone_pairs must be a list of [c, order] pairs"
-    if not isinstance(entries, (list, tuple)):
-        return f"{expected}, got {type(entries).__name__}"
-    entry = entries[i]
-    if not isinstance(entry, (list, tuple)):
-        return f"{expected}, got an entry of type {type(entry).__name__}"
-    if len(entry) != 2:
-        return f"{expected}, got an entry of length {len(entry)}"
-    return None
 
 
 def validation_report_to_json(r: ValidationReport) -> dict:

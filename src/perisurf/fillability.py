@@ -35,11 +35,9 @@ from .gluing import Assembly, assemble
 from .openbook import (
     OpenBookDescriptor,
     UnsupportedResolution,
-    Veering,
     integral_resolution,
     page_descriptor,
     surgery_description,
-    veering,
 )
 
 # strongest first: classify_marked keeps the earliest definite verdict
@@ -98,9 +96,18 @@ def classify_irreducible(m: MarkedDataSet, *,
     A positive extension is Stein fillable outright.  A negative extension
     is resolved integrally when every marked orbit rotates by ``-1/order``;
     the resolved word is a product of negative boundary twists, hence
-    left-veering, and the structure is overtwisted.  Raises ``ValueError``
-    unless the base is irreducible type 1 and the marks are well formed.
-    ``_descriptor`` is ``page_descriptor(m)`` when the caller has it already.
+    left-veering, and the structure is overtwisted (Honda, Kazez and Matic,
+    "Right-veering diffeomorphisms of compact surfaces with boundary",
+    Invent. Math. 169, 2007).  Raises ``ValueError`` unless the base is
+    irreducible type 1 and the marks are well formed.  ``_descriptor`` is
+    ``page_descriptor(m)`` when the caller has it already.
+
+    Lemma: every successful resolution here is left-veering.  A ``-``
+    marked orbit turns by ``u/order - 1`` with ``u`` in ``[1, order-1]``,
+    never 0, so a successful resolution turns each orbit into ``p``
+    circles of slope 0 with ``p`` parallel twists of power -1: an
+    effective coefficient of -1, which :func:`perisurf.openbook.veering`
+    reads as left.
     """
     label = classify(m.base).label
     if label != "type1-irreducible":
@@ -128,13 +135,6 @@ def classify_irreducible(m: MarkedDataSet, *,
             (("negative extension", True),
              ("integral resolution", False)),
             (str(exc),),
-        )
-    if veering(resolved) is not Veering.LEFT:
-        return FillabilityVerdict(
-            "Unknown", "none",
-            (("negative extension", True),
-             ("integral resolution", True),
-             ("left-veering monodromy", False)),
         )
     twist_count = sum(1 for t in resolved.monodromy.twists()
                       if t.curve.startswith("resolve["))

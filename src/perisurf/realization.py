@@ -158,8 +158,9 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
 def _pairing_checks(pairing) -> tuple[bool, int | None]:
     # the checks that read the pairing alone, of a nonempty pairing of ints
     # with one entry per side: whether it is a fixed-point-free involution
-    # and, when it is, the genus of the glued polygon (None when its Euler
-    # characteristic gives none)
+    # and, when it is, the genus of the glued polygon.  Gluing the sides in
+    # pairs with reversed orientation makes a closed orientable surface, so
+    # its Euler characteristic V - k/2 + 1 is even and at most 2.
     k = len(pairing)
     for i in range(k):
         j = pairing[i]
@@ -179,9 +180,7 @@ def _pairing_checks(pairing) -> tuple[bool, int | None]:
             seen[c] = 1
             c = pairing[c] % k
     chi = vertices - k // 2 + 1
-    if chi <= 2 and (2 - chi) % 2 == 0:
-        return True, (2 - chi) // 2
-    return True, None
+    return True, (2 - chi) // 2
 
 
 def _equivariant(pairing, rotation_step: int) -> bool:

@@ -6,8 +6,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from enum import IntEnum
-from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -44,6 +43,7 @@ from perisurf.core import (
     validate,
 )
 from perisurf.realization import polygon_realization, verify_realization
+from reference import _residue_tuples_by_filter, _rh_genus_by_fractions
 
 
 def names(records):
@@ -88,6 +88,10 @@ def test_enumerate_rejects_bad_arguments():
         enumerate_data_sets(0, 2)
     with pytest.raises(ValueError):
         enumerate_data_sets(3, -1)
+    with pytest.raises(ValueError, match="degree must be positive, got 0"):
+        enumerate_oracle(0, 2)
+    with pytest.raises(ValueError, match="genus must be non-negative, got -1"):
+        enumerate_oracle(3, -1)
 
 
 def test_enumerator_matches_oracle_on_small_grid():
@@ -144,12 +148,6 @@ def test_census_equals_the_sweep_up_to_the_hurwitz_bound():
         assert census(CensusQuery(genus=g), workers=1) == census(swept, workers=1)
 
 
-def _rh_genus_by_fractions(n, g0, orders):
-    # reference: Riemann-Hurwitz summed term by term in Fractions
-    deficiency = sum((1 - Fraction(1, o) for o in orders), Fraction(0))
-    return 1 - Fraction(n, 2) * (2 - 2 * g0 - deficiency)
-
-
 @given(st.integers(min_value=1, max_value=300),
        st.integers(min_value=0, max_value=6),
        st.lists(st.integers(min_value=1, max_value=60), max_size=8))
@@ -160,29 +158,6 @@ def test_integer_rh_genus_matches_fraction_formula(n, g0, orders):
     want = _rh_genus_by_fractions(n, g0, orders)
     assert got == want
     assert str(got) == str(want)
-
-
-def _residue_tuples_by_filter(n, orders):
-    # reference: every canonical residue tuple, filtered at the leaves
-    runs = []
-    for o in orders:
-        if runs and runs[-1][0] == o:
-            runs[-1] = (o, runs[-1][1] + 1)
-        else:
-            runs.append((o, 1))
-    out = []
-
-    def rec(run_idx, weighted, acc):
-        if run_idx == len(runs):
-            if weighted % n == 0:
-                out.append(acc)
-            return
-        order, count = runs[run_idx]
-        for combo in combinations_with_replacement(_units(order), count):
-            rec(run_idx + 1, weighted + n // order * sum(combo), acc + combo)
-
-    rec(0, 0, ())
-    return out
 
 
 @given(st.integers(min_value=2, max_value=24).flatmap(
@@ -214,6 +189,28 @@ def test_genus_zero_cell_of_a_large_degree():
     sets = enumerate_data_sets(4000, 0)
     assert len(sets) == 800
     assert all(d.cone_pairs[0].c + d.cone_pairs[1].c == 4000 for d in sets)
+    # one label serves every set of the multiset: the lemma at _cell
+    for _, d, label in _cell(4000, 0):
+        assert label == "rotational" == classify(d).label, d
+
+
+def test_residues_never_change_the_class_of_a_valid_set():
+    # the lemma at census._cell, over every residue choice rather than the
+    # generator's: each valid set whose cone orders let the residues decide
+    # the class is rotational
+    shapes = [(n, (n, n)) for n in range(3, 31)]
+    shapes += [(2, (2,) * count) for count in (4, 6, 8)]
+    rotational = 0
+    for n, orders in shapes:
+        assert _residues_decide(n, orders)
+        for g0, cs in product(range(3), product(*map(_units, orders))):
+            d = DataSet(n, g0, 0, tuple(map(ConePair, cs, orders)))
+            if validate(d).valid:
+                assert classify(d).label == "rotational", d
+                rotational += 1
+    assert rotational == 3 * (sum(len(_units(n)) for n in range(3, 31)) + 3)
+    # an invalid set of that shape need not be: classify keeps the check
+    assert classify(parse_data_set("(5,0;(1,5),(1,5))")).label == "type2"
 
 
 @given(st.integers(min_value=0, max_value=12).flatmap(
@@ -505,12 +502,7 @@ def test_cells_are_sorted_by_text_without_duplicates(cell):
     assert sets == sorted(sets, key=format_data_set)
     assert len(set(sets)) == len(sets)
     for _, d, label in entries:
-        if label is None:
-            l = d.num_pairs
-            assert l % 2 == 0 and (l == 2) == (n > 2), d
-            assert all(p.order == n for p in d.cone_pairs), d
-        else:
-            assert label == classify(d).label, d
+        assert label == classify(d).label, d
 
 
 _GOOD = {"degree": 5, "quotient_genus": 0, "rotation": 0,
@@ -557,6 +549,7 @@ def test_read_census_rejects_non_integers(tmp_path, field, slot, value):
      "polygon_verified must be true, false or null, got 1"),
     ({"polygon_verified": 0.0},
      "polygon_verified must be true, false or null, got 0.0"),
+    ({"sign": "+", "marks": [3]}, "census records hold plain data sets"),
 ])
 def test_read_census_rejects_bad_record_fields(tmp_path, fields, message):
     path = tmp_path / "bad.jsonl"
@@ -569,7 +562,9 @@ def test_read_census_rejects_bad_record_fields(tmp_path, fields, message):
 @pytest.mark.parametrize("verified", [None, True, False])
 def test_read_census_accepts_every_polygon_flag(tmp_path, verified):
     path = tmp_path / "good.jsonl"
-    path.write_text(json.dumps(dict(_GOOD, polygon_verified=verified)) + "\n")
+    # blank lines are skipped
+    path.write_text("\n" + json.dumps(dict(_GOOD, polygon_verified=verified))
+                    + "\n  \n")
     (record,) = read_census(path)
     assert record.polygon_verified is verified
     assert (record.genus, record.action_class) == (2, "type1-irreducible")

@@ -143,6 +143,9 @@ def test_glue_lists_pairs_and_glues(capsys):
     code, _, err = run(["glue", a, b, "--at", "x"], capsys)
     assert code == 2
 
+    code, out, _ = run(["glue", a, "(3,0;(1,3),(1,3),(1,3))"], capsys)
+    assert (code, out.strip()) == (0, "no compatible cone pairs")
+
 
 def test_self_glue(capsys):
     code, out, _ = run(
@@ -160,6 +163,40 @@ def test_assemble_text_output(capsys):
     assert lines[2] == "word: ext(0,+) ext(1,+) twist(edge0,+1) rot(4,5/6)"
     assert "piece 1 mark 3: glued" in lines
     assert "piece 2 mark 2: kept as output 4" in lines
+
+
+def test_assemble_notes_mixed_signs(capsys):
+    code, out, _ = run(
+        ["assemble", "(6_+,0;(1,2),(1,3),(1,6),[1])",
+         "(6_-,0;(1,2),(2,3),(5,6),[1])", "--edge", "(3:1)~(3:2)"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "note: pieces carry mixed signs"
+
+
+def test_assemble_self_edges(capsys):
+    pieces = ["(5_+,0;(2,5),(3,5),(1,5),[3])", "(5_+,0;(4,5),(3,5),(3,5),[1])"]
+    argv = ["assemble", *pieces, "--edge", "(3:1)~(1:2)"]
+    # the cones of a self edge may come in either order
+    code, out, _ = run(argv + ["--self-edge", "(2:1)~(1:1)"], capsys)
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "(5_+,1;(3,5),(3,5),[])", "genus: 5",
+        "word: ext(0,+) ext(1,+) twist(edge0,+1) twist(selfedge0,+1)"]
+    for self_edge, message in [("(1:1)~(2:2)", "must stay on one piece"),
+                               ("(1:1)~(1:1)", "repeats a cone")]:
+        code, out, err = run(argv + ["--self-edge", self_edge], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: self edge {self_edge!r} {message}\n"
+
+
+def test_assemble_edge_syntax(capsys):
+    for edge, message in [
+            ("3:1~3:2", "expected (cone:piece)~(cone:piece), got '3:1~3:2'"),
+            ("(3:0)~(3:2)", "pieces are numbered from 1 in '(3:0)~(3:2)'")]:
+        code, out, err = run(["assemble", HEX_PLUS, PIECE_B, "--edge", edge],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {message} (at position 0)\n"
 
 
 def test_assemble_rejects_unmarked_pieces(capsys):
@@ -257,6 +294,17 @@ def test_profile_build_and_failures(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["ok"] is True and payload["K"] == 2
 
+    code, out, _ = run(["profile", "1", "2"], capsys)
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "first violation: symplectic at r=0 (value 0.000977517)",
+        "not verified"]
+
+    # a tolerance wider than every value leaves each one undecided
+    code, out, _ = run(["profile", "2", "1", "--tolerance", "1e9"], capsys)
+    assert code == 0
+    assert out.splitlines()[-2:] == ["inconclusive samples: 2047", "verified"]
+
 
 def test_profile_search(capsys):
     code, out, _ = run(["profile", "5", "-1", "--search"], capsys)
@@ -336,7 +384,9 @@ def test_count_options_must_be_positive(capsys):
     for argv in (["census", "--genus", "2", "--degrees", "5", "--workers", "0"],
                  ["census", "--genus", "2", "--degrees", "5", "--workers", "-3"],
                  ["profile", "5", "1", "--search", "--candidates", "-1"],
-                 ["profile", "5", "1", "--search", "--candidates", "0"]):
+                 ["profile", "5", "1", "--search", "--candidates", "0"],
+                 ["census", "--genus", "2", "--degrees", "5", "--workers", "x"],
+                 ["profile", "5", "1", "--search", "--candidates", "1.5"]):
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, ""), argv
         assert "expected a positive integer" in err

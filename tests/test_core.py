@@ -1,5 +1,3 @@
-from math import lcm
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,6 +18,7 @@ from perisurf.core import (
     parse_data_set,
     validate,
 )
+from reference import _lcm_violations_leave_one_out
 
 
 def ds(text):
@@ -119,22 +118,6 @@ def test_validate_lcm_condition():
     assert "iv" in report.ids()
 
 
-def _lcm_violations_leave_one_out(n, g0, orders):
-    # condition iv recomputing the lcm once per dropped order
-    full = lcm(*orders) if orders else 1
-    out = []
-    for idx in range(len(orders)):
-        rest = orders[:idx] + orders[idx + 1:]
-        partial = lcm(*rest) if rest else 1
-        if partial != full:
-            out.append(("iv", f"dropping cone {idx + 1} changes the lcm of the "
-                              f"cone orders from {full} to {partial}"))
-    if g0 == 0 and full != n:
-        out.append(("iv", f"with quotient genus 0 the lcm of the cone orders "
-                          f"must equal the degree, got {full}"))
-    return out
-
-
 @given(st.integers(min_value=1, max_value=120),
        st.integers(min_value=0, max_value=2),
        st.lists(st.integers(min_value=1, max_value=40), max_size=8))
@@ -172,6 +155,35 @@ def test_validate_residue_range():
     assert "iii" in report.ids()
     report = validate(DataSet(4, 1, 0, (ConePair(0, 2), ConePair(1, 2))))
     assert "iii" in report.ids()
+    # the message `perisurf validate` prints for this set
+    report = validate(ds("(4,0;(2,4),(1,4),(1,4))"))
+    assert ("iii", "cone rotation 2 at index 1 is not coprime to its "
+                   "order 4") in report.violations
+
+
+@pytest.mark.parametrize("cls, args, error, message", [
+    (ConePair, (-1, 5), ValueError, "cone rotation must be non-negative, got -1"),
+    (DataSet, (5, 0, 1.0), TypeError, "rotation must be an integer, got 1.0"),
+    (DataSet, (5, -1, 0), ValueError, "quotient genus must be non-negative"),
+    (DataSet, (5, 0, -1), ValueError, "rotation must be non-negative"),
+    (DataSet, (5, 0, 0, ((1, 5),)), TypeError,
+     "cone_pairs must contain ConePair values"),
+    (MarkedDataSet, ("(5,1,1;-)", "+", (1,)), TypeError,
+     "base must be a DataSet"),
+    (MarkedDataSet, (DataSet(5, 1, 1), "*", (1,)), ValueError,
+     "sign must be '+' or '-', got '*'"),
+])
+def test_constructors_refuse_malformed_fields(cls, args, error, message):
+    with pytest.raises(error) as info:
+        cls(*args)
+    assert str(info.value) == message
+
+
+def test_data_set_stores_its_cone_pairs_as_a_tuple():
+    pairs = [ConePair(1, 5), ConePair(1, 5), ConePair(3, 5)]
+    d = DataSet(5, 0, 0, pairs)
+    assert d.cone_pairs == tuple(pairs)
+    assert d == ds("(5,0;(1,5),(1,5),(3,5))")
 
 
 def test_validate_marked_sets():
@@ -306,6 +318,18 @@ def test_parse_errors_carry_positions():
             ds(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(5_*,0;-)", "expected '+' or '-' after '_' (at position 3)"),
+    ("(5,0,1(1,5))", "expected ';' before the cone pairs (at position 6)"),
+    ("(5,0:(1,5))", "expected ';' after the preamble (at position 4)"),
+    ("(5,1,1;-,3)", "expected a marks list after ',' (at position 9)"),
+])
+def test_parse_errors_name_what_was_expected(text, message):
+    with pytest.raises(ParseError) as info:
+        ds(text)
+    assert str(info.value) == message
+
+
 def test_parse_rejects_half_marked_sets():
     with pytest.raises(ParseError):
         ds("(5_+,0;(1,5),(3,5),(1,5))")  # sign without marks
@@ -436,6 +460,13 @@ def test_data_set_from_json_raises_only_value_errors(obj):
     ("cone_pairs", [["a", 5], [1]], "c must be an integer, got 'a'"),
     ("marks", 3, "marks must be a list of integers, got int"),
     ("marks", None, "marks must be a list of integers, got NoneType"),
+    # iterables that are not lists: once read as no cones or no marks
+    ("cone_pairs", "", "cone_pairs must be a list of [c, order] pairs, got str"),
+    ("cone_pairs", {}, "cone_pairs must be a list of [c, order] pairs, got dict"),
+    ("marks", "", "marks must be a list of integers, got str"),
+    ("marks", {}, "marks must be a list of integers, got dict"),
+    ("marks", "3", "marks must be a list of integers, got str"),
+    ("sign", "+", "marked data sets need both 'sign' and 'marks'"),
 ])
 def test_data_set_from_json_names_the_malformed_field(field, value, message):
     obj = dict(_PENTAGON_JSON, **{field: value})
@@ -444,6 +475,12 @@ def test_data_set_from_json_names_the_malformed_field(field, value, message):
     with pytest.raises(ValueError) as info:
         data_set_from_json(obj)
     assert str(info.value) == message
+
+
+def test_data_set_from_json_names_a_missing_field():
+    with pytest.raises(ValueError) as info:
+        data_set_from_json({"degree": 5, "rotation": 0, "cone_pairs": []})
+    assert str(info.value) == "missing data set field 'quotient_genus'"
 
 
 @given(data_sets)

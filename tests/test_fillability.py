@@ -4,7 +4,7 @@ import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -26,21 +26,22 @@ from perisurf.fillability import (
     verify_profile,
     write_profile_csv,
 )
-from perisurf.fillability import (
-    _BINDING_END,
-    _COLLAR_START,
-    ConditionReport,
-    ProfilePair,
-    _assemble_profile,
-)
+from perisurf.fillability import _assemble_profile
 from perisurf.gluing import Assembly, Ext, build_edge
 from perisurf.openbook import (
     BoundaryOrbit,
     OpenBookDescriptor,
+    UnsupportedResolution,
     Veering,
     integral_resolution,
     page_descriptor,
     veering,
+)
+from reference import (
+    _reference_assemble,
+    _reference_binding_deviation,
+    _reference_search,
+    _reference_verify,
 )
 
 
@@ -291,7 +292,30 @@ def test_classify_marked_reaches_only_the_stein_twist_branch():
             "SteinFillable", "positive-twist-stein"), m
 
 
+def test_every_negative_irreducible_resolution_is_left_veering():
+    # the lemma in classify_irreducible's docstring, over every marking of
+    # the irreducible sets of genus 2-5
+    resolved = unsupported = 0
+    for g in range(2, 6):
+        query = CensusQuery(genus=g, action_class="type1-irreducible")
+        for record in census(query):
+            for size in (1, 2, 3):
+                for marks in combinations((1, 2, 3), size):
+                    m = MarkedDataSet(record.data_set, "-", marks)
+                    try:
+                        page = integral_resolution(page_descriptor(m))
+                    except UnsupportedResolution:
+                        unsupported += 1
+                        continue
+                    resolved += 1
+                    assert veering(page) is Veering.LEFT, m
+                    assert classify_irreducible(m).verdict == "Overtwisted", m
+    assert (resolved, unsupported) == (50, 818)
+
+
 def test_verdict_certificate_pairing_enforced():
+    with pytest.raises(ValueError, match="unknown certificate 'lucky'"):
+        FillabilityVerdict("SteinFillable", "lucky")
     with pytest.raises(ValueError):
         FillabilityVerdict("Unknown", "positive-assembly")
     with pytest.raises(ValueError):
@@ -401,6 +425,19 @@ def test_search_argument_errors():
             search_profiles(5, 1, candidates=budget)
 
 
+def test_profile_needs_two_samples_to_build_and_matching_lengths_to_verify():
+    with pytest.raises(ValueError, match="need at least two samples"):
+        build_profile(2, 1, samples=1)
+    pp = build_profile(2, 1, samples=128)
+    with pytest.raises(ValueError, match="grid, f0 and g0 differ in length"):
+        verify_profile(replace(pp, f0=pp.f0[:-1]))
+
+
+def test_binding_deviation_of_a_grid_with_no_binding_interior():
+    # two samples, r = 0 and r = 1: no sample lies inside the binding arc
+    assert binding_symplectic_deviation(build_profile(2, 1, samples=2)) == 0.0
+
+
 def test_profile_csv_roundtrip(tmp_path):
     pp = build_profile(2, 1, samples=128)
     path = tmp_path / "profile.csv"
@@ -411,121 +448,6 @@ def test_profile_csv_roundtrip(tmp_path):
     assert len(rows) == 129
     assert float(rows[1][0]) == pp.grid[0]
     assert float(rows[-1][2]) == pp.g0[-1]
-
-
-# --- reference implementations -----------------------------------------------
-# The profile numerics as they were before search and verification shared one
-# lazy condition stream: whole arrays, a derivative pass, then the checks.
-
-
-def _hermite(t, va, da, vb, db, width):
-    h00 = 2 * t ** 3 - 3 * t ** 2 + 1
-    h10 = t ** 3 - 2 * t ** 2 + t
-    h01 = -2 * t ** 3 + 3 * t ** 2
-    h11 = t ** 3 - t ** 2
-    return h00 * va + h10 * width * da + h01 * vb + h11 * width * db
-
-
-def _reference_assemble(p, q, K, H, peak=1.0, samples=1024):
-    a, b = _BINDING_END, _COLLAR_START
-    fa, dfa = 2 * H - a * a, -2 * a
-    ga, dga = a * a, 2 * a
-    fb, dfb = -b * p - q * K, float(-p)
-    gb, dgb = -b * q + p * K, float(-q)
-    bump_scale = (peak - 1.0) * max(1.0, abs(gb))
-
-    grid, f0, g0 = [], [], []
-    for i in range(samples):
-        r = i / (samples - 1)
-        grid.append(r)
-        if r <= a:
-            f0.append(2 * H - r * r)
-            g0.append(r * r)
-        elif r >= b:
-            f0.append(-r * p - q * K)
-            g0.append(-r * q + p * K)
-        else:
-            t = (r - a) / (b - a)
-            f0.append(_hermite(t, fa, dfa, fb, dfb, b - a))
-            g = _hermite(t, ga, dga, gb, dgb, b - a)
-            g0.append(g + bump_scale * 16 * t * t * (1 - t) * (1 - t))
-    return ProfilePair(tuple(grid), tuple(f0), tuple(g0), p, q, K, H)
-
-
-def _reference_derivatives(grid, values):
-    n = len(grid)
-    out = [0.0] * n
-    out[0] = (values[1] - values[0]) / (grid[1] - grid[0])
-    out[-1] = (values[-1] - values[-2]) / (grid[-1] - grid[-2])
-    for i in range(1, n - 1):
-        out[i] = (values[i + 1] - values[i - 1]) / (grid[i + 1] - grid[i - 1])
-    return out
-
-
-def _reference_verify(pp, tolerance=1e-9):
-    if len(pp.grid) < 64:
-        raise ValueError("verification needs at least 64 samples")
-    df = _reference_derivatives(pp.grid, pp.f0)
-    dg = _reference_derivatives(pp.grid, pp.g0)
-
-    contact_ok, symplectic_ok = True, True
-    first_violation = None
-    inconclusive = []
-    for i, r in enumerate(pp.grid):
-        checks = []
-        if i >= 1:
-            checks.append(("contact", pp.f0[i] * dg[i] - df[i] * pp.g0[i], 1))
-        checks.append(("symplectic", pp.p * df[i] + pp.q * dg[i], -1))
-        for name, value, wanted_sign in checks:
-            if abs(value) <= tolerance:
-                inconclusive.append((r, name, value))
-            elif (value > 0) != (wanted_sign > 0):
-                if name == "contact":
-                    contact_ok = False
-                else:
-                    symplectic_ok = False
-                if first_violation is None:
-                    first_violation = (r, name, value)
-
-    corner_f, corner_g = -pp.p - pp.q * pp.K, -pp.q + pp.p * pp.K
-    if not corner_f < 0 < corner_g:
-        symplectic_ok = False
-        if first_violation is None:
-            bad = corner_f if corner_f >= 0 else corner_g
-            first_violation = (1.0, "corner", float(bad))
-    return ConditionReport(contact_ok, symplectic_ok, first_violation,
-                           tuple(inconclusive))
-
-
-def _reference_binding_deviation(pp):
-    df = _reference_derivatives(pp.grid, pp.f0)
-    dg = _reference_derivatives(pp.grid, pp.g0)
-    worst = 0.0
-    for i in range(1, len(pp.grid) - 1):
-        r = pp.grid[i]
-        if pp.grid[i + 1] >= _BINDING_END:
-            break
-        numeric = pp.p * df[i] + pp.q * dg[i]
-        worst = max(worst, abs(numeric - 2 * r * (pp.q - pp.p)))
-    return worst
-
-
-def _reference_search(p, q, *, candidates=1000, samples=256, tolerance=1e-9):
-    """The search loop as it was, also returning how many candidates it had
-    counted against the budget when it stopped."""
-    peaks = (1.0, 0.5, 0.75, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
-    tried = 0
-    for K, H, peak in product(range(1, 11), range(1, 11), peaks):
-        if tried >= candidates:
-            break
-        tried += 1
-        if not -p - q * K < 0 < -q + p * K:
-            continue
-        pp = _reference_assemble(p, q, K, float(H), peak=peak,
-                                 samples=samples)
-        if _reference_verify(pp, tolerance).ok:
-            return pp, tried
-    return None, tried
 
 
 @given(st.integers(min_value=-9, max_value=9),

@@ -44,6 +44,14 @@ def test_compatible_pairs_degree_mismatch_is_empty():
     assert compatible_pairs(ds(HEX1), ds("(3,0;(1,3),(1,3),(1,3))")) == []
 
 
+def test_gluing_reads_the_base_of_a_marked_set():
+    marked = ds("(6_+,0;(1,2),(1,3),(1,6),[3])")
+    assert compatible_pairs(marked, ds(HEX2)) == \
+        compatible_pairs(ds(HEX1), ds(HEX2))
+    with pytest.raises(TypeError, match="d2 must be a data set"):
+        compatible_pairs(ds(HEX1), HEX2)
+
+
 def test_glue_hexagons():
     glued = glue(ds(HEX1), ds(HEX2), 3, 3)
     assert format_data_set(glued) == "(6,0;(1,2),(1,3),(1,2),(2,3))"
@@ -218,6 +226,12 @@ def test_assemble_structural_errors():
         build_edge((hex1, hex2), (0, 3), (0, 3))  # same piece
     with pytest.raises(ValueError):
         build_edge((hex1, hex2), (0, 1), (1, 2))  # incompatible cones
+    with pytest.raises(ValueError, match="piece id 2 is outside 0..1"):
+        build_edge((hex1, hex2), (0, 3), (2, 3))
+    with pytest.raises(TypeError, match="piece 1 must be a marked data set"):
+        assemble(Assembly((hex1, hex2.base)))
+    with pytest.raises(ValueError, match="all pieces must share one degree"):
+        assemble(Assembly((hex1, ds("(5_+,0;(1,5),(1,5),(3,5),[1])"))))
     pieces = (hex1, hex2)
     edge = build_edge(pieces, (0, 3), (1, 3))
     with pytest.raises(ValueError):
@@ -279,6 +293,9 @@ def test_assembly_json_rejects_malformed_payloads():
         assembly_from_json({"edges": []})  # no pieces at all
     with pytest.raises(ValueError):
         assembly_from_json({"pieces": [None]})
+    with pytest.raises(ValueError,
+                       match="assembly piece 0 must be a marked data set"):
+        assembly_from_json({"pieces": ["(6,0;(1,2),(1,3),(1,6))"]})
     piece = "(6_+,0;(1,2),(1,3),(1,6),[3])"
     for pieces in (3, None, piece, {piece: 1}):  # not a list of pieces
         with pytest.raises(ValueError, match="needs a 'pieces' list"):

@@ -1,7 +1,8 @@
 """The package and the CLI import a submodule only when it is used.
 
-Every check runs in a fresh interpreter: in this process the other tests
-have loaded every module already.
+Every check of what is loaded runs in a fresh interpreter: in this process
+the other tests have loaded every module already.  The last test calls the
+package's attribute hook in this process, for its answers alone.
 """
 
 from __future__ import annotations
@@ -143,3 +144,17 @@ def test_unknown_attribute_raises_and_submodules_stay_reachable():
             "print(json.dumps([missing, loaded, edge]))")
     assert fresh(code) == [
         "module 'perisurf' has no attribute 'no_such_name'", [], "build_edge"]
+
+
+def test_package_hook_answers_in_process():
+    # called directly: here the names it binds may be bound already, and
+    # reading them from the package would not reach the hook
+    import perisurf
+    from perisurf.census import census
+
+    assert perisurf.__getattr__("census") is census
+    assert perisurf.__getattr__("gluing") is sys.modules["perisurf.gluing"]
+    with pytest.raises(AttributeError,
+                       match="module 'perisurf' has no attribute 'nothing'"):
+        perisurf.__getattr__("nothing")
+    assert set(dir(perisurf)) >= set(PUBLIC_NAMES) | {"__getattr__"}

@@ -82,6 +82,14 @@ def test_page_descriptor_rejects_bad_marks():
             page_descriptor(ds(f"(6_+,0;(1,2),(1,3),(1,6),{marks})"))
 
 
+def test_page_descriptor_refuses_what_has_no_page():
+    with pytest.raises(TypeError, match="needs a marked data set"):
+        page_descriptor(ds("(6,0;(1,2),(1,3),(1,6))"))
+    with pytest.raises(ValueError, match="cone order 4 at mark 1 does not "
+                                         "divide the degree 6"):
+        page_descriptor(ds("(6_+,0;(1,4),(1,3),(1,6),[1])"))
+
+
 def test_boundary_count_sums_orbit_sizes():
     d = page_descriptor(ds("(6_-,0;(1,2),(1,3),(1,6),[1,2,3])"))
     assert sorted(b.orbit_size for b in d.boundary_orbits) == [1, 2, 3]
@@ -165,6 +173,12 @@ def _census_slopes():
     return out
 
 
+def test_no_marked_orbit_turns_by_slope_zero():
+    # the lemma at cli._cmd_surgery: a marked cone's residue is a unit, so
+    # its orbit always turns and its surgery entry is never of kind "none"
+    assert F(0) not in _census_slopes()
+
+
 def test_surgery_entry_derives_everything_from_its_slope():
     grid = {F(q, p) for q in range(-12, 13) for p in range(1, 13)}
     census_slopes = _census_slopes()
@@ -218,6 +232,23 @@ def test_integral_resolution_single_puncture_disk():
     assert orbit.orbit_size == 1 and orbit.full_period_slope == 0
     assert len(resolved.monodromy.twists()) == 1
     assert veering(resolved) is Veering.LEFT
+
+
+def test_integral_resolution_keeps_orbits_that_do_not_turn():
+    # a hand-built descriptor: no marked data set has an orbit of slope 0
+    still = BoundaryOrbit(1, 2, F(0), F(0), False)
+    d = OpenBookDescriptor(
+        0,
+        (still, BoundaryOrbit(2, 1, F(-1, 3), F(-1, 3), True)),
+        (Ext(0, "-"), Rot(1, F(0)), Rot(2, F(-1, 3))),
+        False,
+    )
+    resolved = integral_resolution(d)
+    assert resolved.boundary_orbits[0] is still
+    assert resolved.boundary_orbits[1] == BoundaryOrbit(2, 3, F(0), F(0), False)
+    assert [t.orbit for t in resolved.monodromy.twists()] == [2, 2, 2]
+    assert resolved.monodromy.tokens[:3] == (Ext(0, "-"), Rot(1, F(0)),
+                                             Rot(2, F(0)))
 
 
 def test_integral_resolution_noop_without_rotation():

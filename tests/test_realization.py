@@ -7,13 +7,14 @@ from hypothesis import given, strategies as st
 
 from perisurf.census import enumerate_irreducible
 from perisurf.core import parse_data_set
-from perisurf.gluing import _UnionFind
 from perisurf.realization import (
     PolygonPresentation,
+    _pairing_checks,
     draw_polygon_svg,
     polygon_realization,
     verify_realization,
 )
+from reference import _euler_genus_by_union_find
 
 
 def ds(text):
@@ -168,34 +169,37 @@ def test_all_small_irreducible_sets_verify():
     assert checked > 20
 
 
-def _euler_genus_by_union_find(pairing):
-    # reference: merge both ends of every side gluing, count the classes
-    k = len(pairing)
-    uf = _UnionFind(k)
-    for x in range(1, k + 1):
-        y = pairing[x - 1]
-        uf.union(x - 1, y % k)
-        uf.union(x % k, y - 1)
-    vertices = sum(1 for c in range(k) if uf.find(c) == c)
-    chi = vertices - k // 2 + 1
-    if chi <= 2 and (2 - chi) % 2 == 0:
-        return (2 - chi) // 2
-    return None
+_involutions = st.integers(min_value=1, max_value=40).flatmap(
+    lambda half: st.permutations(range(1, 2 * half + 1)))
 
 
-@given(st.integers(min_value=1, max_value=40).flatmap(
-    lambda half: st.permutations(range(1, 2 * half + 1))))
-def test_vertex_cycles_match_union_find(order):
-    # pair consecutive entries of a random permutation: a random
-    # fixed-point-free involution on the sides
+def _involution(order):
+    # pair consecutive entries of a permutation: a fixed-point-free
+    # involution on the sides
     pairing = [0] * len(order)
     for x, y in zip(order[::2], order[1::2]):
         pairing[x - 1], pairing[y - 1] = y, x
-    p = PolygonPresentation(sides=len(order), pairing=tuple(pairing),
+    return tuple(pairing)
+
+
+@given(_involutions)
+def test_vertex_cycles_match_union_find(order):
+    pairing = _involution(order)
+    p = PolygonPresentation(sides=len(order), pairing=pairing,
                             rotation_step=0, degree=1)
     report = verify_realization(p, ds("(5,0;(1,5),(1,5),(3,5))"))
     assert report.involution_ok
     assert report.euler_genus == _euler_genus_by_union_find(pairing)
+
+
+@given(_involutions)
+def test_every_involution_glues_to_a_surface_with_a_genus(order):
+    # the lemma at _pairing_checks: sides glued in pairs with reversed
+    # orientation make a closed orientable surface, so a genus always exists
+    pairing = _involution(order)
+    involution_ok, g = _pairing_checks(pairing)
+    assert involution_ok and type(g) is int and g >= 0
+    assert g == _euler_genus_by_union_find(pairing)
 
 
 def test_svg_output(tmp_path):
