@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -72,6 +73,34 @@ def _count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
+# build_profile plus verify_profile took 0.12 s and peaked at 54 MB at 10^5
+# samples, against 1.2 s and 390 MB at 10^6 (Python 3.11, 2 vCPUs)
+_MAX_SAMPLES = 100_000
+
+
+def _sample_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value > _MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"at most {_MAX_SAMPLES} samples, got {text!r}")
     return value
 
 
@@ -454,12 +483,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p.add_argument("--K", type=int, default=None,
                    help="collar offset (default: smallest workable)")
-    p.add_argument("--H", type=float, default=None,
+    p.add_argument("--H", type=_finite, default=None,
                    help="binding height (default: clears the collar)")
-    p.add_argument("--peak", type=float, default=1.0,
+    p.add_argument("--peak", type=_finite, default=1.0,
                    help="crest scale of the middle arc")
-    p.add_argument("--samples", type=int, default=None,
-                   help="grid size (default: 1024, or 256 with --search)")
+    p.add_argument("--samples", type=_sample_count, default=None,
+                   help=f"grid size, at most {_MAX_SAMPLES} (default: 1024, "
+                        "or 256 with --search)")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--csv", metavar="PATH", help="dump r,f0,g0 samples")
     p.add_argument("--search", action="store_true",

@@ -13,13 +13,14 @@ The second half of the module builds and checks the plane curves
 everywhere.  Verification is numerical on a sample grid with an explicit
 tolerance; values inside the tolerance band are reported as inconclusive
 rather than silently passed or failed.  A profile is built as three arcs
-(binding arc, Hermite arc, collar), each a list made in one pass, and the
-condition values are computed over a window of samples in one pass.  One
-scan yields a window's inconclusive values and definite violations in grid
-order, and walks the samples only when some value is not clearly of the
-wanted sign.  Verification reads all of it; the search reads it arc by arc,
-drops a shape at its first definite violation, and decides the corner once
-per ``K`` and the binding arc once per ``H``.
+(binding arc, Hermite arc, collar) from a plan of the sample count, which
+holds the grid and the Hermite basis and is kept for the last few counts,
+and the condition values are computed over a window of samples in one
+pass.  One scan yields a window's inconclusive values and definite
+violations in grid order, and walks the samples only when some value is
+not clearly of the wanted sign.  Verification reads all of it; the search
+reads it arc by arc, drops a shape at its first definite violation, and
+decides the corner once per ``K`` and the binding arc once per ``H``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, product
 
 from .core import MarkedDataSet, _check_marks, classify
@@ -315,15 +317,28 @@ class ConditionReport:
         return self.contact_ok and self.symplectic_ok
 
 
-def _profile_points(p: int, q: int, K: int, H: float, peak: float,
-                    samples: int):
-    """Yield the binding arc, the Hermite arc and the collar of the profile,
-    in order, each as three lists ``(r, f0, g0)`` of its samples.
+@dataclass(frozen=True)
+class _SamplePlan:
+    """The part of a profile that depends on the sample count alone.
 
-    Construction never fails on shape grounds: a collar offset that misses
-    the corner still produces a curve, and the verifier rejects it.  There
-    is no sign restriction on ``p`` here.
+    ``grid`` holds every sample ``r = i / (samples - 1)``; ``binding``,
+    ``hermite`` and ``collar`` are its three arcs, ``squares`` the values
+    ``r * r`` of the binding arc, and ``basis`` the columns ``h00``,
+    ``h10 * width``, ``h01``, ``h11 * width``, ``t`` and ``u = 1 - t`` of
+    the Hermite arc, one entry per sample.
     """
+
+    grid: tuple[float, ...]
+    binding: tuple[float, ...]
+    squares: tuple[float, ...]
+    hermite: tuple[float, ...]
+    basis: tuple[tuple[float, ...], ...]
+    collar: tuple[float, ...]
+
+
+# typed: a float count such as 1024.0 gets its own entry, and range refuses it
+@lru_cache(maxsize=4, typed=True)
+def _sample_plan(samples: int) -> _SamplePlan:
     if samples < 2:
         raise ValueError("need at least two samples")
     a, b = _BINDING_END, _COLLAR_START
@@ -332,42 +347,62 @@ def _profile_points(p: int, q: int, K: int, H: float, peak: float,
     # r = i / last rises with i: the binding arc is r <= a, the Hermite arc
     # starts at sample `hermite`, and the collar, r >= b, at sample `collar`
     hermite = bisect_right(range(samples), a, key=lambda i: i / last)
-    rs = [i / last for i in range(hermite)]
-    squares = [r * r for r in rs]
+    collar = bisect_left(range(samples), b, hermite, key=lambda i: i / last)
+    grid = tuple(i / last for i in range(samples))
+    binding, middle = grid[:hermite], grid[hermite:collar]
+    rows = []
+    for r in middle:
+        t = (r - a) / width
+        t2, t3 = t ** 2, t ** 3
+        rows.append((2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + t) * width,
+                     -2 * t3 + 3 * t2, (t3 - t2) * width, t, 1 - t))
+    # one column per basis value; no columns when the arc has no sample
+    return _SamplePlan(grid, binding, tuple(r * r for r in binding), middle,
+                       tuple(zip(*rows)), grid[collar:])
+
+
+def _profile_points(p: int, q: int, K: int, H: float, peak: float,
+                    samples: int):
+    """Yield the binding arc, the Hermite arc and the collar of the profile,
+    in order, each as three sequences ``(r, f0, g0)`` of its samples.
+
+    Construction never fails on shape grounds: a collar offset that misses
+    the corner still produces a curve, and the verifier rejects it.  There
+    is no sign restriction on ``p`` here.  Everything that depends on
+    ``samples`` alone (the arcs' samples, the squares of the binding arc and
+    the Hermite basis) comes from a plan that is computed once per sample
+    count and kept for the last few counts, so a profile costs only its
+    shape arithmetic; each float is the one a per-profile computation gives.
+    """
+    plan = _sample_plan(samples)
+    a, b = _BINDING_END, _COLLAR_START
     two_h = 2 * H
-    yield rs, [two_h - s for s in squares], squares
+    yield plan.binding, [two_h - s for s in plan.squares], plan.squares
 
     fa, dfa = two_h - a * a, -2 * a
     ga, dga = a * a, 2 * a
     fb, dfb = -b * p - q * K, float(-p)
     gb, dgb = -b * q + p * K, float(-q)
     bump = (peak - 1.0) * max(1.0, abs(gb)) * 16
-    collar = bisect_left(range(samples), b, hermite, key=lambda i: i / last)
-    rs = [i / last for i in range(hermite, collar)]
-    fs, gs = [], []
-    for r in rs:
-        t = (r - a) / width
-        t2, t3 = t ** 2, t ** 3
-        h00 = 2 * t3 - 3 * t2 + 1
-        h10w = (t3 - 2 * t2 + t) * width
-        h01 = -2 * t3 + 3 * t2
-        h11w = (t3 - t2) * width
-        fs.append(h00 * fa + h10w * dfa + h01 * fb + h11w * dfb)
-        g = h00 * ga + h10w * dga + h01 * gb + h11w * dgb
-        u = 1 - t
-        gs.append(g + bump * t * t * u * u)
-    yield rs, fs, gs
+    basis = plan.basis
+    yield (plan.hermite,
+           [h00 * fa + h10w * dfa + h01 * fb + h11w * dfb
+            for h00, h10w, h01, h11w in zip(*basis[:4])],
+           [h00 * ga + h10w * dga + h01 * gb + h11w * dgb
+            + bump * t * t * u * u
+            for h00, h10w, h01, h11w, t, u in zip(*basis)])
 
     qK, pK = q * K, p * K
-    rs = [i / last for i in range(collar, samples)]
+    rs = plan.collar
     yield rs, [-r * p - qK for r in rs], [-r * q + pK for r in rs]
 
 
 def _assemble_profile(p: int, q: int, K: int, H: float, peak: float = 1.0,
                       samples: int = 1024) -> ProfilePair:
-    grid, f0, g0 = (tuple(chain.from_iterable(column)) for column in
-                    zip(*_profile_points(p, q, K, H, peak, samples)))
-    return ProfilePair(grid, f0, g0, p, q, K, H)
+    _, f0, g0 = zip(*_profile_points(p, q, K, H, peak, samples))
+    # one grid tuple per sample count, shared by every profile built on it
+    return ProfilePair(_sample_plan(samples).grid, tuple(chain(*f0)),
+                       tuple(chain(*g0)), p, q, K, H)
 
 
 def _in_corner(p: int, q: int, K: int) -> bool:

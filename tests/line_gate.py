@@ -2,11 +2,14 @@
 
 Runs the Tier-1 suite in this process under a ``sys.settrace`` line
 recorder, then compares the lines of ``src/perisurf`` that never ran with
-the allowlist ``tests/line_gate_allowlist.txt``, one ``file:line  reason``
-entry per line.  The gate fails when a line did not run and is not
-allowlisted, and also when an allowlisted line ran or is no longer
-executable, so the list cannot go stale.  The suite's own outcome is
-Tier-1's business and does not change the verdict.
+the allowlist ``tests/line_gate_allowlist.txt``.  Each entry,
+``file: source -- reason``, names a line by its source text, stripped of
+surrounding whitespace, so edits elsewhere in the file leave it valid; it
+covers every executable line of the file with that text.  The gate fails
+when a line did not run and is not allowlisted, and also when an
+allowlisted line ran or an entry matches no executable line, so the list
+cannot go stale.  The suite's own outcome is Tier-1's business and does not
+change the verdict.
 
 Executable lines are the line numbers of the bytecode of each module and
 of every code object nested in it, so they depend on the Python version;
@@ -61,42 +64,47 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def read_allowlist(path: Path) -> tuple[dict[tuple[str, int], str], list[str]]:
-    """``{(file name, line): reason}`` and the malformed entries."""
-    allowed: dict[tuple[str, int], str] = {}
+def read_allowlist(path: Path
+                   ) -> tuple[dict[tuple[str, str], str], list[str]]:
+    """``{(file name, source text): reason}`` and the malformed entries."""
+    allowed: dict[tuple[str, str], str] = {}
     errors: list[str] = []
     for n, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         text = text.strip()
         if not text or text.startswith("#"):
             continue
-        where, _, reason = text.partition(" ")
-        name, _, line = where.partition(":")
-        if not (line.isdecimal() and reason.strip()):
-            errors.append(f"{path.name}:{n}: expected 'file:line  reason', "
-                          f"got {text!r}")
+        where, _, reason = text.partition(" -- ")
+        name, _, source = where.partition(":")
+        if not (source.strip() and reason.strip()):
+            errors.append(f"{path.name}:{n}: expected 'file: source -- "
+                          f"reason', got {text!r}")
             continue
-        allowed[name, int(line)] = reason.strip()
+        allowed[name, source.strip()] = reason.strip()
     return allowed, errors
 
 
-def gate(ran: set[tuple[str, int]], allowed: dict[tuple[str, int], str]
+def gate(ran: set[tuple[str, int]], allowed: dict[tuple[str, str], str]
          ) -> list[str]:
     """Every failure of the gate, for the package files and lines run."""
     failures = []
-    executable = {}
+    # (file name, source text) -> the executable lines with that text
+    matches: dict[tuple[str, str], list[int]] = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = executable_lines(path)
-        executable[path.name] = lines
-        for line in sorted(lines):
-            if (str(path), line) not in ran and (path.name, line) not in allowed:
+        source = path.read_text(encoding="utf-8").splitlines()
+        for line in sorted(executable_lines(path)):
+            key = path.name, source[line - 1].strip()
+            matches.setdefault(key, []).append(line)
+            if (str(path), line) not in ran and key not in allowed:
                 failures.append(f"{path.name}:{line}: never ran and is "
                                 "not in the allowlist")
-    for (name, line), reason in sorted(allowed.items()):
-        if line not in executable.get(name, ()):
-            failures.append(f"{name}:{line}: allowlisted but not an "
+    for (name, source), reason in sorted(allowed.items()):
+        if (name, source) not in matches:
+            failures.append(f"{name}: {source}: allowlisted but matches no "
                             "executable line")
-        elif (str(PACKAGE / name), line) in ran:
-            failures.append(f"{name}:{line}: allowlisted but ran ({reason})")
+        for line in matches.get((name, source), ()):
+            if (str(PACKAGE / name), line) in ran:
+                failures.append(f"{name}:{line}: allowlisted but ran "
+                                f"({reason})")
     return failures
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from perisurf.cli import main
+from perisurf.cli import _sample_count, main
 from perisurf.core import ParseError, parse_data_set
 from perisurf.gluing import Assembly, assembly_to_json, build_edge
 
@@ -330,6 +330,37 @@ def test_profile_samples_apply_to_both_paths(capsys):
     code, _, err = run(["profile", "2", "1", "--search", "--samples", "32"],
                        capsys)
     assert code == 1 and "at least 64 samples" in err
+
+
+def test_profile_samples_have_an_upper_bound(capsys):
+    assert _sample_count("100000") == 100000  # the bound itself is accepted
+    for argv in (["--samples", "100001"], ["--search", "--samples", "10**6"],
+                 ["--samples", "1e3"]):
+        code, out, err = run(["profile", "2", "1", *argv], capsys)
+        assert code == 2 and out == "", argv
+    assert "at most 100000 samples, got '100001'" in run(
+        ["profile", "2", "1", "--samples", "100001"], capsys)[2]
+
+
+@pytest.mark.parametrize("option", ["--H", "--peak"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "x"])
+def test_profile_shape_must_be_finite(capsys, option, value):
+    code, out, err = run(["profile", "5", "1", f"{option}={value}"], capsys)
+    assert code == 2 and out == ""
+    assert f"argument {option}: expected a finite number, got '{value}'" in err
+
+
+def test_profile_takes_finite_shape_values(capsys):
+    code, out, _ = run(["profile", "--json", "5", "1", "--H", "9",
+                        "--peak", "1.5"], capsys)
+    assert code == 0 and json.loads(out)["H"] == 9.0
+
+
+def test_profile_tolerance_nan_makes_every_check_definite(capsys):
+    code, out, _ = run(["profile", "--json", "2", "1", "--tolerance", "nan"],
+                       capsys)
+    assert code == 0
+    assert json.loads(out)["inconclusive"] == 0
 
 
 def test_enumerate_matches_oracle(capsys):

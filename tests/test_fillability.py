@@ -433,6 +433,41 @@ def test_profile_needs_two_samples_to_build_and_matching_lengths_to_verify():
         verify_profile(replace(pp, f0=pp.f0[:-1]))
 
 
+def test_sample_plans_interleave_with_reference_floats():
+    # the plan of one sample count never leaks into a profile of another
+    def built(samples):
+        return build_profile(5, 1, samples=samples)
+
+    def want(samples):
+        return _reference_assemble(5, 1, 2, 8.0, samples=samples)
+
+    assert repr(built(1024)) == repr(want(1024))
+    pp, _ = _reference_search(5, 1, samples=256)
+    assert repr(search_profiles(5, 1, samples=256)) == repr(pp)
+    for samples in (1000, 64, 1024):
+        assert repr(built(samples)) == repr(want(samples))
+
+
+def test_profiles_of_one_sample_count_share_one_grid():
+    assert build_profile(5, 1).grid is build_profile(2, 1, peak=2.0).grid
+    assert build_profile(5, 1).grid is not build_profile(5, 1,
+                                                         samples=1000).grid
+
+
+def test_sample_plan_memo_is_bounded():
+    info = fillability._sample_plan.cache_info
+    assert info().maxsize is not None
+    for samples in range(64, 64 + 2 * info().maxsize):
+        build_profile(2, 1, samples=samples)
+        assert info().currsize <= info().maxsize
+
+
+def test_float_sample_count_is_refused_after_a_build_at_that_count():
+    build_profile(5, 1, samples=1024)
+    with pytest.raises(TypeError):
+        build_profile(5, 1, samples=1024.0)
+
+
 def test_binding_deviation_of_a_grid_with_no_binding_interior():
     # two samples, r = 0 and r = 1: no sample lies inside the binding arc
     assert binding_symplectic_deviation(build_profile(2, 1, samples=2)) == 0.0

@@ -1,36 +1,73 @@
 import line_gate
+import pytest
+
+SOURCE = "def f(x):\n    if x:\n        return 1\n    return 2\n"
 
 
-def test_gate_fails_on_unreached_reached_and_stale_lines():
-    files = sorted(line_gate.PACKAGE.glob("*.py"))
-    ran = {(str(p), line) for p in files for line in line_gate.executable_lines(p)}
-    core = line_gate.PACKAGE / "core.py"
-    unreached, reached = sorted(line_gate.executable_lines(core))[-2:]
-    ran.discard((str(core), unreached))
-    allowed = {("core.py", reached): "runs", ("core.py", 10**6): "gone",
-               ("nothing.py", 1): "no such file"}
+@pytest.fixture
+def package(tmp_path, monkeypatch):
+    """A one-module package ``mod.py`` for the gate to check."""
+    monkeypatch.setattr(line_gate, "PACKAGE", tmp_path)
+    return tmp_path / "mod.py"
+
+
+def ran_except(path, *texts):
+    """Every executable line of ``path`` but those with one of ``texts``."""
+    source = path.read_text().splitlines()
+    return {(str(path), line) for line in line_gate.executable_lines(path)
+            if source[line - 1].strip() not in texts}
+
+
+def test_gate_fails_on_unreached_reached_and_stale_lines(package):
+    package.write_text(SOURCE)
+    ran = ran_except(package, "return 1")
+    allowed = {("mod.py", "return 2"): "runs", ("mod.py", "return 3"): "gone",
+               ("nothing.py", "x = 1"): "no such file"}
     assert line_gate.gate(ran, allowed) == [
-        f"core.py:{unreached}: never ran and is not in the allowlist",
-        f"core.py:{reached}: allowlisted but ran (runs)",
-        "core.py:1000000: allowlisted but not an executable line",
-        "nothing.py:1: allowlisted but not an executable line",
+        "mod.py:3: never ran and is not in the allowlist",
+        "mod.py:4: allowlisted but ran (runs)",
+        "mod.py: return 3: allowlisted but matches no executable line",
+        "nothing.py: x = 1: allowlisted but matches no executable line",
     ]
-    allowed = {("core.py", unreached): "a reason"}
+    allowed = {("mod.py", "return 1"): "a reason"}
     assert line_gate.gate(ran, allowed) == []
+
+
+def test_entry_survives_edits_above_its_line(package):
+    allowed = {("mod.py", "return 1"): "a reason"}
+    for prefix in ("", "import os\n\n\n", "import os\n"):
+        package.write_text(prefix + SOURCE)
+        assert line_gate.gate(ran_except(package, "return 1"), allowed) == []
+
+
+def test_entry_covers_every_line_with_its_text(package):
+    package.write_text(SOURCE + "\n\ndef g(x):\n    if x:\n        return 1\n")
+    allowed = {("mod.py", "return 1"): "a reason"}
+    assert line_gate.gate(ran_except(package, "return 1"), allowed) == []
+    ran = ran_except(package, "return 1") | {(str(package), 3)}
+    assert line_gate.gate(ran, allowed) == [
+        "mod.py:3: allowlisted but ran (a reason)"]
 
 
 def test_allowlist_entries_need_a_line_and_a_reason(tmp_path):
     path = tmp_path / "allow.txt"
-    path.write_text("# comment\n\ncli.py:5  runs only as a script\n"
-                    "cli.py:6\ncli.py  no line\n")
+    path.write_text("# comment\n\n"
+                    "cli.py: sys.exit(main()) -- runs only as a script\n"
+                    "cli.py: x = a\ncli.py -- no source\ncli.py: -- none\n")
     allowed, errors = line_gate.read_allowlist(path)
-    assert allowed == {("cli.py", 5): "runs only as a script"}
+    assert allowed == {("cli.py", "sys.exit(main())"): "runs only as a script"}
     assert errors == [
-        "allow.txt:4: expected 'file:line  reason', got 'cli.py:6'",
-        "allow.txt:5: expected 'file:line  reason', got 'cli.py  no line'",
+        "allow.txt:4: expected 'file: source -- reason', got 'cli.py: x = a'",
+        "allow.txt:5: expected 'file: source -- reason', "
+        "got 'cli.py -- no source'",
+        "allow.txt:6: expected 'file: source -- reason', "
+        "got 'cli.py: -- none'",
     ]
 
 
 def test_committed_allowlist_is_well_formed():
     allowed, errors = line_gate.read_allowlist(line_gate.ALLOWLIST)
     assert errors == [] and allowed
+    # every entry names an executable line of the package as it is now
+    assert [failure for failure in line_gate.gate(set(), allowed)
+            if "matches no executable line" in failure] == []
