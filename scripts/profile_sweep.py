@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from perisurf.fillability import search_profiles, verify_profile, write_profile_csv
+from perisurf.profiles import search_profiles, verify_profile, write_profile_csv
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,15 @@ _EXPORTS = {
         ValidationReport canonicalize canonicalize_marked classify
         data_set_from_json data_set_to_json format_data_set genus mod_inverse
         parse_data_set validate""",
-    "fillability": """ConditionReport FillabilityVerdict ProfilePair
-        build_profile classify_assembly classify_irreducible classify_marked
-        classify_positive_word search_profiles verify_profile""",
+    "fillability": """FillabilityVerdict classify_assembly
+        classify_irreducible classify_marked classify_positive_word""",
     "gluing": """Assembly AssemblyResult Ext GluingEdge MonodromyWord Rot Twist
         assemble boundary_slope compatible_pairs glue self_glue""",
     "openbook": """BoundaryOrbit OpenBookDescriptor SurgeryDescription
         UnsupportedResolution Veering fractional_dehn_twist
         integral_resolution page_descriptor surgery_description veering""",
+    "profiles": """ConditionReport ProfilePair build_profile search_profiles
+        verify_profile""",
     "realization": """PolygonPresentation RealizationReport draw_polygon_svg
         polygon_realization verify_realization""",
 }

@@ -323,7 +323,7 @@ def assemble(a: Assembly) -> AssemblyResult:
         if not isinstance(piece, MarkedDataSet):
             raise TypeError(f"piece {k} must be a marked data set")
         cls = classify(piece.base)
-        if not (cls.kind == "type1" and cls.irreducible):
+        if cls.label != "type1-irreducible":
             raise ValueError(f"piece {k} is not an irreducible type 1 shape "
                              f"({cls.label}): {piece}")
         _check_marks(piece, f"piece {k}: ")

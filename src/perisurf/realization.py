@@ -73,7 +73,7 @@ def polygon_realization(d: DataSet) -> PolygonPresentation:
     """
     canon, _ = canonicalize(d)
     cls = classify(canon)
-    if not (cls.kind == "type1" and cls.irreducible):
+    if cls.label != "type1-irreducible":
         raise ValueError(f"polygon model needs an irreducible type 1 data set, "
                          f"got {cls.label}: {canon}")
     report = validate(canon)

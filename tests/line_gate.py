@@ -13,8 +13,13 @@ change the verdict.
 
 Executable lines are the line numbers of the bytecode of each module and
 of every code object nested in it, so they depend on the Python version;
-the allowlist is kept for Python 3.11.  Subprocesses and threads are
-not traced.
+the allowlist is kept for Python 3.11.  Threads are not traced.
+
+Every Python process that a test starts records its lines too: the gate
+puts ``tests/line_gate_child`` on ``PYTHONPATH``, whose ``sitecustomize``
+records the lines of ``src/perisurf`` that the child runs when
+``LINE_GATE_CHILD_DIR`` names a directory.  The children write their lines
+there at exit, and the gate adds them to its own.
 
 Run from the repository root; extra arguments go to pytest::
 
@@ -27,13 +32,17 @@ counts the garbage that a census leaves to the cycle collector).
 
 from __future__ import annotations
 
+import os
 import sys
+import tempfile
+import time
 import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "perisurf"
 ALLOWLIST = ROOT / "tests" / "line_gate_allowlist.txt"
+CHILD = ROOT / "tests" / "line_gate_child"
 
 _FILES: set[str] = set()
 _RAN: set[tuple[str, int]] = set()
@@ -108,18 +117,39 @@ def gate(ran: set[tuple[str, int]], allowed: dict[tuple[str, str], str]
     return failures
 
 
+def read_child_lines(directory: Path) -> set[tuple[str, int]]:
+    """The ``(file, line)`` pairs that child processes wrote to
+    ``directory``, one ``line<TAB>path`` row each."""
+    ran = set()
+    for path in directory.iterdir():
+        for row in path.read_text(encoding="utf-8").splitlines():
+            line, _, name = row.partition("\t")
+            ran.add((name, int(line)))
+    return ran
+
+
 def main(argv: list[str]) -> int:
     import pytest
 
     _FILES.update(str(p) for p in PACKAGE.glob("*.py"))
-    sys.settrace(_trace_calls)
-    try:
-        status = pytest.main(["-q", "--continue-on-collection-errors",
-                              "-p", "no:cacheprovider", str(ROOT / "tests"),
-                              *argv])
-    finally:
-        sys.settrace(None)
-    print(f"line gate: the suite exited with status {int(status)}")
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as children:
+        # every Python a test starts inherits these and records its lines
+        os.environ["LINE_GATE_CHILD_DIR"] = children
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(CHILD), os.environ.get("PYTHONPATH")]))
+        sys.settrace(_trace_calls)
+        try:
+            status = pytest.main(["-q", "--continue-on-collection-errors",
+                                  "-p", "no:cacheprovider",
+                                  str(ROOT / "tests"), *argv])
+        finally:
+            sys.settrace(None)
+        processes = len(list(Path(children).iterdir()))
+        _RAN.update(read_child_lines(Path(children)))
+    print(f"line gate: the suite exited with status {int(status)} after "
+          f"{time.perf_counter() - start:.1f} s; {processes} child "
+          "processes recorded their lines")
     allowed, errors = read_allowlist(ALLOWLIST)
     failures = errors + gate(_RAN, allowed)
     for failure in failures:

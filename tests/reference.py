@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement, product
 from math import lcm
 
 from perisurf.census import _units
-from perisurf.fillability import (
+from perisurf.profiles import (
     _BINDING_END,
     _COLLAR_START,
     ConditionReport,
@@ -96,7 +96,7 @@ def _euler_genus_by_union_find(pairing):
     return None
 
 
-# --- fillability -------------------------------------------------------------
+# --- profiles ----------------------------------------------------------------
 # The profile numerics as they were before search and verification shared one
 # lazy condition stream: whole arrays, a derivative pass, then the checks.
 

@@ -27,16 +27,15 @@ from perisurf.core import (
     parse_data_set,
     validate,
 )
-from perisurf.fillability import (
+from perisurf.fillability import classify_assembly, classify_marked
+from perisurf.gluing import Assembly, assemble, build_edge, compatible_pairs, glue, self_glue
+from perisurf.openbook import fractional_dehn_twist, page_descriptor
+from perisurf.profiles import (
     binding_symplectic_deviation,
     build_profile,
-    classify_assembly,
-    classify_marked,
     search_profiles,
     verify_profile,
 )
-from perisurf.gluing import Assembly, assemble, build_edge, compatible_pairs, glue, self_glue
-from perisurf.openbook import fractional_dehn_twist, page_descriptor
 from perisurf.realization import polygon_realization, verify_realization
 
 

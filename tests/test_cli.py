@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from perisurf.cli import _sample_count, main
+from perisurf.cli import _profile_int, _sample_count, main
 from perisurf.core import ParseError, parse_data_set
 from perisurf.gluing import Assembly, assembly_to_json, build_edge
 
@@ -340,6 +340,38 @@ def test_profile_samples_have_an_upper_bound(capsys):
         assert code == 2 and out == "", argv
     assert "at most 100000 samples, got '100001'" in run(
         ["profile", "2", "1", "--samples", "100001"], capsys)[2]
+
+
+def test_profile_integers_have_a_bound():
+    # the bound itself is accepted, on either side of zero
+    for text in ("100000", "-100000"):
+        assert _profile_int(text) == int(text)
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("p", ["100001", "1"]),
+    ("p", ["-100001", "1"]),
+    ("q", ["1", "100001"]),
+    ("q", ["1", "-100001"]),
+    ("--K", ["5", "1", "--K", "100001"]),
+    ("--K", ["5", "1", "--K", "-100001"]),
+    # once an OverflowError traceback, raised converting K to a float
+    ("--K", ["5", "1", "--K", "1" + "0" * 400]),
+    ("p", ["1" + "0" * 400, "1", "--K", "1"]),
+])
+def test_profile_refuses_huge_integers(capsys, name, argv):
+    code, out, err = run(["profile", *argv], capsys)
+    assert code == 2 and out == ""
+    assert f"argument {name}: at most 100000 in absolute value, got " in err
+    assert "Traceback" not in err
+
+
+def test_profile_integers_must_be_integers(capsys):
+    # more digits than int() converts is not an integer either
+    for argv in (["5", "x"], ["1e3", "1"], ["5", "1", "--K", "9" * 5000]):
+        code, out, err = run(["profile", *argv], capsys)
+        assert code == 2 and out == "", argv
+        assert "expected an integer, got " in err
 
 
 @pytest.mark.parametrize("option", ["--H", "--peak"])

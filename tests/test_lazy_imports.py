@@ -65,21 +65,33 @@ def test_plain_package_import_loads_no_submodule():
     assert fresh(f"import json, perisurf; print(json.dumps({LOADED}))") == []
 
 
+GLUING = ["perisurf.gluing"]
+OPEN_BOOK = ["perisurf.gluing", "perisurf.openbook"]
+MARKED = "(6_-,0;(1,2),(2,3),(5,6),[3])"
+
+
+# every subcommand, each with what it loads besides cli and core
 @pytest.mark.parametrize("argv,loaded", [
     (["genus", "(2,0;(1,2)×4)"], []),
     (["validate", "(6,0;(1,2),(1,3),(1,6))"], []),
     (["classify", "(5,0;(1,5),(3,5),(1,5))"], []),
+    (["polygon", "(6,0;(1,2),(1,3),(1,6))"], ["perisurf.realization"]),
     # the check sees a load when one happens
     (["enumerate", "6", "1"], ["perisurf.census", "perisurf.realization"]),
+    (["census", "--genus", "2"], ["perisurf.census", "perisurf.realization"]),
+    (["glue", "(6,0;(1,2),(1,3),(5,6))", "(6,0;(1,2),(2,3),(1,6))"], GLUING),
+    (["self-glue", "(3,0;(1,3),(1,3),(2,3),(2,3))", "--at", "2:3"], GLUING),
+    (["assemble", "(6_+,0;(1,2),(1,3),(1,6),[3])",
+      "(6_+,0;(1,3),(5,6),(5,6),[2,3])", "--edge", "(3:1)~(3:2)"], GLUING),
     # gluing and the open book layer need no polygon model
-    (["page", "(6_+,0;(1,2),(1,3),(1,6),[3])"],
-     ["perisurf.gluing", "perisurf.openbook"]),
+    (["page", "(6_+,0;(1,2),(1,3),(1,6),[3])"], OPEN_BOOK),
+    (["veering", MARKED], OPEN_BOOK),
+    (["surgery", "(5_+,0;(1,5),(3,5),(1,5),[1,3])"], OPEN_BOOK),
+    (["resolve", MARKED], OPEN_BOOK),
+    # the verdict rules load no profile numerics, and the profiles no rule
     (["fill", "(6_+,0;(1,2),(1,3),(1,6),[3])"],
-     ["perisurf.fillability", "perisurf.gluing", "perisurf.openbook"]),
-    (["profile", "5", "1"],
-     ["perisurf.fillability", "perisurf.gluing", "perisurf.openbook"]),
-    (["glue", "(6,0;(1,2),(1,3),(5,6))", "(6,0;(1,2),(2,3),(1,6))"],
-     ["perisurf.gluing"]),
+     ["perisurf.fillability", *OPEN_BOOK]),
+    (["profile", "5", "1"], ["perisurf.profiles"]),
 ])
 def test_command_loads_only_what_it_uses(argv, loaded):
     code = ("import contextlib, io, json, sys\n"
@@ -95,6 +107,7 @@ def test_command_loads_only_what_it_uses(argv, loaded):
     ("gluing", ["core", "gluing"]),
     ("openbook", ["core", "gluing", "openbook"]),
     ("fillability", ["core", "fillability", "gluing", "openbook"]),
+    ("profiles", ["profiles"]),
 ])
 def test_library_module_loads_only_its_imports(module, loaded):
     code = f"import json, perisurf.{module}; print(json.dumps({LOADED}))"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import line_gate
 import pytest
 
@@ -67,7 +72,37 @@ def test_allowlist_entries_need_a_line_and_a_reason(tmp_path):
 
 def test_committed_allowlist_is_well_formed():
     allowed, errors = line_gate.read_allowlist(line_gate.ALLOWLIST)
-    assert errors == [] and allowed
+    assert errors == []
     # every entry names an executable line of the package as it is now
     assert [failure for failure in line_gate.gate(set(), allowed)
             if "matches no executable line" in failure] == []
+
+
+
+@pytest.mark.parametrize("switch", [True, False])
+def test_child_interpreter_records_package_lines(tmp_path, switch):
+    out = tmp_path / "lines"
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(line_gate.CHILD), str(line_gate.PACKAGE.parent)]))
+    env.pop("LINE_GATE_CHILD_DIR", None)
+    if switch:
+        env["LINE_GATE_CHILD_DIR"] = str(out)
+    code = ("import sys, perisurf.core\n"
+            "print(sorted(m for m in sys.modules if 'perisurf' in m))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=False)
+    # the recorder prints nothing and loads nothing of the package
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "['perisurf', 'perisurf.core']\n", "")
+    ran = line_gate.read_child_lines(out)
+    if not switch:
+        assert ran == set()
+        return
+    files = {name for name, _ in ran}
+    assert files == {str(line_gate.PACKAGE / "__init__.py"),
+                     str(line_gate.PACKAGE / "core.py")}
+    for name in files:
+        lines = {line for n, line in ran if n == name}
+        assert lines and lines <= line_gate.executable_lines(Path(name))
