@@ -37,13 +37,9 @@ first unit.  Tests hold every emitted data set valid over random cells, and
 the oracle equal to the generator on a grid.
 
 Each irreducible record gets its own polygon, and its ``polygon_verified``
-is what :func:`perisurf.realization.verify_realization` would say of it.
-The checks that read the pairing alone (the involution and the Euler genus
-from the vertex cycles) run once per distinct pairing in one
-:func:`census` call, which has far fewer distinct pairings than polygons
-(136 for the 738 polygons of genera 4 to 10); equivariance under the
-rotation step and the comparison with the record's genus run per record.
-Nothing is kept from one call to the next.
+is what :func:`perisurf.realization.verify_realization` would say of it;
+:mod:`perisurf.realization` says how one call shares the checks that read
+a pairing alone.
 
 A cell's records are read from the integers the generator holds.  Each data
 set's text rendering is joined from per-cone strings, and the cell is sorted
@@ -88,7 +84,7 @@ from .core import (
     genus,
     validate,
 )
-from .realization import _equivariant, _pairing_checks, _polygon
+from .realization import _verified
 
 
 def _divisors(n: int) -> list[int]:
@@ -359,21 +355,10 @@ class CensusRecord:
 def _build_record(d: DataSet, g: int, label: str,
                   checked: dict[tuple[int, ...], tuple[bool, int | None]]
                   ) -> CensusRecord:
-    # checked: the pairing-only checks of each distinct pairing this census
-    # has built, by pairing
-    verified = None
-    if label == "type1-irreducible":
-        # d comes canonical and valid from the enumerators, with genus g,
-        # so _polygon gives a well-formed presentation
-        p = _polygon(d, g)
-        pairing = p.pairing
-        shared = checked.get(pairing)
-        if shared is None:
-            shared = checked[pairing] = _pairing_checks(pairing)
-        involution_ok, euler_genus = shared
-        verified = (involution_ok and euler_genus == genus(d)
-                    and _equivariant(pairing, p.rotation_step))
-    return CensusRecord(d, g, label, verified)
+    # d comes canonical and valid from the enumerators, with genus g;
+    # checked is realization's per-call table of pairing-only checks
+    return CensusRecord(d, g, label, _verified(d, g, checked)
+                        if label == "type1-irreducible" else None)
 
 
 def census(query: CensusQuery, *, workers: int | None = None,

@@ -108,9 +108,8 @@ def _sample_count(text: str) -> int:
     return value
 
 
-# `profile 1 -Q` tries 4Q + 8 collar offsets before it refuses the slope:
-# 0.05 s past startup at Q = 10^5, 0.45 s at 10^6 (Python 3.11, 2 vCPUs).
-# Within the bound every profile value is a float far from overflow.
+# The default collar offset has a closed form, so the bound is not there
+# for time: within it every profile value is a float far from overflow.
 _MAX_PROFILE_INT = 100_000
 
 
@@ -191,28 +190,18 @@ def _cmd_classify(args):
 
 
 def _cmd_polygon(args):
+    from dataclasses import asdict
+
     from .realization import (draw_polygon_svg, polygon_realization,
-                              verify_realization)
+                              realization_report_to_json, verify_realization)
 
     d = parse_data_set(args.data_set)
     pres = polygon_realization(d)
     report = verify_realization(pres, d)
     if args.svg:
         draw_polygon_svg(pres, args.svg)
-    payload = {
-        "sides": pres.sides,
-        "pairing": list(pres.pairing),
-        "rotation_step": pres.rotation_step,
-        "degree": pres.degree,
-        "outside_theorem": pres.outside_theorem,
-        "verification": {
-            "euler_genus": report.euler_genus,
-            "rh_genus": report.rh_genus,
-            "involution_ok": report.involution_ok,
-            "equivariance_ok": report.equivariance_ok,
-            "ok": report.ok,
-        },
-    }
+    payload = {**asdict(pres),
+               "verification": realization_report_to_json(report)}
     pairs = sorted({tuple(sorted((i + 1, j)))
                     for i, j in enumerate(pres.pairing)})
     lines = [f"sides: {pres.sides}",

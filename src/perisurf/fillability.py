@@ -119,8 +119,8 @@ def classify_irreducible(m: MarkedDataSet, *,
              ("integral resolution", False)),
             (str(exc),),
         )
-    twist_count = sum(1 for t in resolved.monodromy.twists()
-                      if t.curve.startswith("resolve["))
+    # a page word has no twists, so each twist here is a resolution twist
+    twist_count = len(resolved.monodromy.twists())
     return FillabilityVerdict(
         "Overtwisted", "left-veering-resolution",
         (("negative extension", True),

@@ -237,19 +237,37 @@ class Assembly:
                            tuple(tuple(e) for e in self.self_edges))
 
 
+def _slot(pieces: tuple, slot, field: str, width: int = 2) -> DataSet:
+    # the base of the piece that a slot names.  A slot is width integers,
+    # a piece id and then cone indices; a bool is an int to Python but names
+    # no slot.  Cone indices are range-checked where they are read.
+    if not (isinstance(slot, (tuple, list)) and len(slot) == width
+            and all(isinstance(v, int) and not isinstance(v, bool)
+                    for v in slot)):
+        raise ValueError(f"{field} must be {width} integers, got {slot!r}")
+    p = slot[0]
+    if not 0 <= p < len(pieces):
+        raise ValueError(f"piece id {p} is outside 0..{len(pieces) - 1}")
+    return pieces[p].base
+
+
+def _check_self_edge(pieces: tuple, e) -> None:
+    # a self edge (p, r, s) glues cones r < s of piece p
+    _check_self_pair(_slot(pieces, e, "self edge", 3), e[1], e[2])
+
+
 def build_edge(pieces, left: tuple[int, int],
                right: tuple[int, int]) -> GluingEdge:
     """Make a compatibility-checked edge between two piece slots."""
     pieces = tuple(pieces)
+    a = _slot(pieces, left, "left")
+    b = _slot(pieces, right, "right")
     (pa, ia), (pb, ib) = left, right
-    for p in (pa, pb):
-        if not 0 <= p < len(pieces):
-            raise ValueError(f"piece id {p} is outside 0..{len(pieces) - 1}")
     if pa == pb:
         raise ValueError("an edge joins two distinct pieces; "
                          "use a self edge within one piece")
-    _require_compatible(_check_cone_index(pieces[pa].base, ia, "left cone"),
-                        _check_cone_index(pieces[pb].base, ib, "right cone"),
+    _require_compatible(_check_cone_index(a, ia, "left cone"),
+                        _check_cone_index(b, ib, "right cone"),
                         f" of piece {pa}", f" of piece {pb}")
     return GluingEdge((pa, ia), (pb, ib))
 
@@ -347,10 +365,9 @@ def assemble(a: Assembly) -> AssemblyResult:
         claim(e.right)
         if not forest.union(e.left[0], e.right[0]):
             extra_quotient_genus += 1  # gluing within one component
-    for (p, r, s) in a.self_edges:
-        if not 0 <= p < len(pieces):
-            raise ValueError(f"piece id {p} is outside 0..{len(pieces) - 1}")
-        _check_self_pair(pieces[p].base, r, s)
+    for e in a.self_edges:
+        _check_self_edge(pieces, e)
+        p, r, s = e
         claim((p, r))
         claim((p, s))
         extra_quotient_genus += 1
@@ -435,10 +452,11 @@ def assembly_from_json(obj: dict) -> Assembly:
         if not isinstance(p, MarkedDataSet):
             raise ValueError(f"assembly piece {k} must be a marked data set")
     try:
-        edges = tuple(build_edge(pieces, tuple(e["left"]), tuple(e["right"]))
+        edges = tuple(build_edge(pieces, e["left"], e["right"])
                       for e in obj.get("edges", ()))
-        self_edges = tuple(tuple(int(v) for v in e)
-                           for e in obj.get("self_edges", ()))
+        self_edges = tuple(obj.get("self_edges", ()))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed assembly edge: {exc}") from None
+    for e in self_edges:
+        _check_self_edge(pieces, e)
     return Assembly(pieces, edges, self_edges)

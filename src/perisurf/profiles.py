@@ -163,11 +163,13 @@ def _in_corner(p: int, q: int, K: int) -> bool:
 
 def _default_twist_count(p: int, q: int) -> int:
     # smallest positive K putting the collar endpoint in the corner, with
-    # one unit of margin when the margin keeps it there
-    limit = 4 * (abs(p) + abs(q)) + 4
-    for k in range(1, limit + 1):
-        if _in_corner(p, q, k):
-            return k + 1 if _in_corner(p, q, k + 1) else k
+    # one unit of margin when the margin keeps it there.  For p > 0 the
+    # least K >= 1 with pK > q is max(1, q // p + 1).  There -p - qK < 0
+    # holds or it holds at no larger K: it can fail only when q < 0, and
+    # then it grows harder to meet as K grows.
+    k = max(1, q // p + 1)
+    if _in_corner(p, q, k):
+        return k + 1 if _in_corner(p, q, k + 1) else k
     raise ValueError(
         f"no positive collar offset K satisfies -p - qK < 0 < -q + pK "
         f"for (p, q) = ({p}, {q}); pass K explicitly")

@@ -13,8 +13,14 @@ corners glued to one vertex form one cycle of the corner permutation
 The verifier's checks live in two private helpers.  ``_pairing_checks``
 reads the pairing alone: whether it is an involution and, if so, the Euler
 genus from the vertex cycles.  ``_equivariant`` checks that the pairing
-commutes with a rotation step.  The census runs the first once per distinct
-pairing and the second once per polygon.
+commutes with a rotation step.  :class:`RealizationReport` holds their
+results, and its ``ok`` is the one rule for a verified polygon: the census's
+``polygon_verified`` and the ``polygon`` command both read it.  Within one
+:func:`perisurf.census.census` call the pairing-only checks run once per
+distinct pairing, which is far fewer than the polygons (136 pairings for
+the 738 polygons of genera 4 to 10); equivariance under the rotation step
+and the comparison with the record's genus run per record.  Nothing is
+kept from one call to the next.
 
 The module holds the polygon model, its verifier and an SVG drawing, and
 needs nothing but :mod:`perisurf.core`.  Within the package, the census
@@ -23,7 +29,7 @@ and the ``polygon`` command are its only users.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 
 from .core import DataSet, canonicalize, classify, genus, mod_inverse, validate
@@ -60,6 +66,11 @@ class RealizationReport:
     def ok(self) -> bool:
         return (self.involution_ok and self.equivariance_ok
                 and self.euler_genus == self.rh_genus)
+
+
+def realization_report_to_json(r: RealizationReport) -> dict:
+    """The report's fields and its verdict ``ok``."""
+    return {**asdict(r), "ok": r.ok}
 
 
 def polygon_realization(d: DataSet) -> PolygonPresentation:
@@ -146,10 +157,30 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
             and all(map(isinstance, pairing, repeat(int)))):
         # no polygon to glue: a pairing must name one partner per side
         return RealizationReport(None, genus(d), False, False)
-    involution_ok, euler_genus = _pairing_checks(pairing)
+    return _report(p, genus(d), {})
+
+
+def _verified(canon: DataSet, g: int,
+              checked: dict[tuple[int, ...], tuple[bool, int | None]]) -> bool:
+    # whether verify_realization passes the polygon of a canonical, valid,
+    # irreducible type 1 data set of genus g; checked holds the pairing-only
+    # checks of the pairings seen so far, and gains this polygon's
+    return _report(_polygon(canon, g), g, checked).ok
+
+
+def _report(p: PolygonPresentation, rh_genus: int,
+            checked: dict[tuple[int, ...], tuple[bool, int | None]]
+            ) -> RealizationReport:
+    # the report on a well-formed presentation, taking its pairing-only
+    # checks from checked and adding them there when missing
+    pairing = tuple(p.pairing)
+    shared = checked.get(pairing)
+    if shared is None:
+        shared = checked[pairing] = _pairing_checks(pairing)
+    involution_ok, euler_genus = shared
     return RealizationReport(
         euler_genus=euler_genus,
-        rh_genus=genus(d),
+        rh_genus=rh_genus,
         involution_ok=involution_ok,
         equivariance_ok=_equivariant(pairing, p.rotation_step),
     )

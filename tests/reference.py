@@ -209,3 +209,20 @@ def _reference_search(p, q, *, candidates=1000, samples=256, tolerance=1e-9):
         if _reference_verify(pp, tolerance).ok:
             return pp, tried
     return None, tried
+
+
+# profiles._default_twist_count finds the least corner offset in closed form.
+
+
+def _default_twist_count_by_scan(p, q):
+    # reference: the offsets 1, 2, ... tried in turn, up to a bound past
+    # which none puts the collar endpoint (-p - qk, -q + pk) in the corner
+    # f < 0 < g; the corner test is written out, not profiles._in_corner
+    limit = 4 * (abs(p) + abs(q)) + 4
+    for k in range(1, limit + 1):
+        if -p - q * k < 0 < -q + p * k:
+            margin = k + 1
+            return margin if -p - q * margin < 0 < -q + p * margin else k
+    raise ValueError(
+        f"no positive collar offset K satisfies -p - qK < 0 < -q + pK "
+        f"for (p, q) = ({p}, {q}); pass K explicitly")

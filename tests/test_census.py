@@ -283,7 +283,7 @@ def test_census_records():
 def test_census_class_filter(monkeypatch):
     # the filter drops rows before their records, and polygons, are built
     built = []
-    monkeypatch.setattr(sys.modules["perisurf.census"], "_polygon",
+    monkeypatch.setattr(sys.modules["perisurf.realization"], "_polygon",
                         lambda *args: built.append(args))
     records = census(CensusQuery(genus=2, degrees=(2, 3, 4, 5, 6),
                                  action_class="rotational"), workers=1)
@@ -308,8 +308,8 @@ def test_polygon_flags_equal_the_public_verifier():
 def test_shared_pairing_checks_leave_equivariance_per_record(monkeypatch):
     # two records of one cell get one pairing, and the second a rotation
     # step that breaks equivariance: only the second may fail
-    census_module = sys.modules["perisurf.census"]
-    polygon = census_module._polygon
+    realization_module = sys.modules["perisurf.realization"]
+    polygon = realization_module._polygon
     # the genus-3 cell of degree 8 has six irreducible sets, and the first
     # one's pairing commutes only with rotations by an even step
     query = CensusQuery(genus=3, degrees=(8,))
@@ -323,12 +323,28 @@ def test_shared_pairing_checks_leave_equivariance_per_record(monkeypatch):
     def patched(d, g):
         return shared if d == first else bad if d == second else polygon(d, g)
 
-    monkeypatch.setattr(census_module, "_polygon", patched)
+    monkeypatch.setattr(realization_module, "_polygon", patched)
     flags = {r.data_set: r.polygon_verified for r in census(query)
              if r.action_class == "type1-irreducible"}
     assert flags.pop(first) is True
     assert flags.pop(second) is False
     assert flags and all(v is True for v in flags.values())
+
+
+def test_census_and_cli_read_the_report_verdict(monkeypatch, capsys):
+    # RealizationReport.ok is the one rule for a verified polygon: a census
+    # record and `polygon --json` both read it, so a stricter rule there
+    # reaches both
+    from perisurf import cli
+    from perisurf.realization import RealizationReport
+
+    monkeypatch.setattr(RealizationReport, "ok", property(lambda self: False))
+    records = census(CensusQuery(genus=2, degrees=(2, 3, 4, 5, 6)))
+    flags = [r.polygon_verified for r in records
+             if r.action_class == "type1-irreducible"]
+    assert len(flags) == 6 and not any(flags)
+    assert cli.main(["polygon", "(6,0;(1,2),(1,3),(1,6))", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["verification"]["ok"] is False
 
 
 def test_census_parallel_matches_serial():

@@ -224,6 +224,20 @@ def test_assemble_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     assert out.splitlines()[0] == "(6_+,0;(1,2),(1,3),(1,3),(5,6),[4])"
 
 
+@pytest.mark.parametrize("command", ["assemble", "fill"])
+def test_file_assembly_slots_are_integers(tmp_path, capsys, command):
+    # truncated, the float cone indices make the valid self edge (0, 1, 2)
+    path = tmp_path / "assembly.json"
+    path.write_text(json.dumps({
+        "pieces": ["(5_+,0;(2,5),(3,5),(1,5),[3])",
+                   "(5_+,0;(4,5),(3,5),(3,5),[1])"],
+        "edges": [{"left": [0, 3], "right": [1, 1]}],
+        "self_edges": [[0, 1.9, 2.2]]}))
+    code, out, err = run([command, "--file", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: self edge must be 3 integers, got [0, 1.9, 2.2]\n"
+
+
 def test_page_veering_surgery_resolve(capsys):
     code, out, _ = run(["page", HEX_MINUS], capsys)
     assert code == 0

@@ -1,8 +1,9 @@
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from perisurf.census import enumerate_data_sets
+from perisurf.census import CensusQuery, census, enumerate_data_sets
 from perisurf.core import canonicalize, format_data_set, genus, parse_data_set, validate
 from perisurf.gluing import (
     Assembly,
@@ -126,6 +127,33 @@ def test_randomized_gluing_preserves_validity():
         k = degree // d1.cone_pairs[i - 1].order
         assert genus(glued) == genus(d1) + genus(d2) + k - 1
         trials += 1
+
+
+def test_gluings_of_the_census_land_in_the_census():
+    # gluing shares no code with the census generator but core, and the
+    # oracle checks the generator only up to degree 12 and genus 4, while
+    # these gluings reach genus 16 at degree 18
+    sets = [r.data_set for g in (2, 3, 4) for r in census(CensusQuery(genus=g))]
+    by_degree = {}
+    for d in sets:
+        by_degree.setdefault(d.degree, []).append(d)
+    binary = [glue(a, b, i, j) for same in by_degree.values()
+              for a, b in combinations_with_replacement(same, 2)
+              for i, j in compatible_pairs(a, b)]
+    self_glued = [self_glue(d, r, s) for d in sets if d.num_pairs >= 4
+                  for r, s in combinations(range(1, d.num_pairs + 1), 2)
+                  if (r, s) in compatible_pairs(d, d)]
+    assert (len(sets), len(binary), len(self_glued)) == (137, 2837, 187)
+    cells = {}
+    for glued in binary + self_glued:
+        canon = canonicalize(glued)[0]
+        assert validate(canon).valid, glued
+        cell = (canon.degree, genus(canon))
+        if cell not in cells:
+            cells[cell] = set(enumerate_data_sets(*cell))
+        assert canon in cells[cell], glued
+    assert len(cells) == 66
+    assert max(g for _, g in cells) == 16 and max(n for n, _ in cells) == 18
 
 
 # --- assemblies --------------------------------------------------------------
@@ -307,6 +335,37 @@ def test_assembly_json_rejects_malformed_payloads():
     with pytest.raises(ValueError):
         assembly_from_json({"pieces": ["(6_+,0;(1,2),(1,3),(1,6),[3])"] * 2,
                             "edges": [{"left": [0, 3]}]})  # edge missing a side
+
+
+PENTAGONS = ["(5_+,0;(2,5),(3,5),(1,5),[3])", "(5_+,0;(4,5),(3,5),(3,5),[1])"]
+
+
+@pytest.mark.parametrize("edges,self_edges,message", [
+    # coerced or read as ints, each of these is a different, valid assembly
+    ([], [[0, 1.9, 2.2]], "self edge must be 3 integers, got [0, 1.9, 2.2]"),
+    ([], [["0", "1", "2"]], "self edge must be 3 integers, got ['0', '1', '2']"),
+    ([], [[True, 1, 2]], "self edge must be 3 integers, got [True, 1, 2]"),
+    ([], ["012"], "self edge must be 3 integers, got '012'"),
+    ([{"left": [False, 3], "right": [True, 1]}], [],
+     "left must be 2 integers, got [False, 3]"),
+    # a float or a slot of the wrong length must not reach an index
+    ([{"left": [0, 3.0], "right": [1, 1]}], [],
+     "left must be 2 integers, got [0, 3.0]"),
+    ([{"left": [0, 3], "right": [1.0, 1]}], [],
+     "right must be 2 integers, got [1.0, 1]"),
+    ([{"left": [0, 3, 1], "right": [1, 1]}], [],
+     "left must be 2 integers, got [0, 3, 1]"),
+])
+def test_assembly_json_slots_are_integers(edges, self_edges, message):
+    obj = {"pieces": PENTAGONS, "edges": edges, "self_edges": self_edges}
+    with pytest.raises(ValueError) as info:
+        assembly_from_json(obj)
+    assert str(info.value) == message
+    # the same slots written as integers make a valid assembly
+    obj = {"pieces": PENTAGONS, "edges": [{"left": [0, 3], "right": [1, 1]}],
+           "self_edges": [[0, 1, 2]]}
+    assert assemble(assembly_from_json(obj)).data_set == \
+        ds("(5_+,1;(3,5),(3,5),[])")
 
 
 def test_tokens_and_words_print_their_text_form():

@@ -18,6 +18,7 @@ from perisurf.profiles import (
     write_profile_csv,
 )
 from reference import (
+    _default_twist_count_by_scan,
     _reference_assemble,
     _reference_binding_deviation,
     _reference_search,
@@ -32,6 +33,26 @@ def test_build_profile_defaults():
     assert pp.f0[0] == 2 * pp.H and pp.g0[0] == 0.0
     assert pp.f0[-1] == -2 - 1 * pp.K
     assert pp.g0[-1] == -1 + 2 * pp.K
+
+
+def test_default_twist_count_matches_the_scan():
+    # the closed form gives the scan's offset, or its ValueError message,
+    # for every p in 1..79 and q in -400..400 and a few far slopes
+    def outcome(count, p, q):
+        try:
+            return count(p, q)
+        except ValueError as exc:
+            return str(exc)
+
+    slopes = [(p, q) for p in range(1, 80) for q in range(-400, 401)]
+    slopes += [(1, 10**6), (1, -10**6), (7, 100003), (99991, -99989),
+               (3, 100000)]
+    refused = 0
+    for p, q in slopes:
+        expected = outcome(_default_twist_count_by_scan, p, q)
+        assert outcome(profiles._default_twist_count, p, q) == expected, (p, q)
+        refused += isinstance(expected, str)
+    assert (len(slopes), refused) == (63284, 28520)
 
 
 def test_positive_slope_profile_verifies():

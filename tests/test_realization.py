@@ -1,6 +1,4 @@
 import dataclasses
-import importlib.util
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -210,15 +208,3 @@ def test_svg_output(tmp_path):
     content = target.read_text()
     assert content.startswith("<svg")
     assert content.count("<path") == 5  # one chord per side pair
-
-
-def test_polygon_gallery_script_draws_and_verifies(tmp_path, capsys):
-    path = (Path(__file__).resolve().parents[1] / "scripts"
-            / "polygon_gallery.py")
-    spec = importlib.util.spec_from_file_location("polygon_gallery", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["--max-degree", "6", "--out-dir", str(tmp_path)]) == 0
-    assert len(list(tmp_path.glob("*.svg"))) == 12
-    assert capsys.readouterr().out.endswith(
-        f"12 polygons -> {tmp_path}/, 0 verification failures\n")
