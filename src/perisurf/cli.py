@@ -143,7 +143,7 @@ def _parse_marked(text: str) -> MarkedDataSet:
 
 
 def _build_assembly(args):
-    from .gluing import Assembly, assembly_from_json, build_edge
+    from .gluing import Assembly, GluingEdge, assembly_from_json
 
     if args.file:
         if args.file == "-":
@@ -153,10 +153,7 @@ def _build_assembly(args):
                 payload = json.load(fh)
         return assembly_from_json(payload)
     pieces = tuple(_parse_marked(p) for p in args.pieces)
-    edges = []
-    for text in args.edge or ():
-        (pa, ca), (pb, cb) = _parse_edge(text)
-        edges.append(build_edge(pieces, (pa, ca), (pb, cb)))
+    edges = [GluingEdge(*_parse_edge(text)) for text in args.edge or ()]
     self_edges = []
     for text in args.self_edge or ():
         (pa, ca), (pb, cb) = _parse_edge(text)
@@ -165,7 +162,8 @@ def _build_assembly(args):
         if ca == cb:
             raise ValueError(f"self edge {text!r} repeats a cone")
         self_edges.append((pa, min(ca, cb), max(ca, cb)))
-    return Assembly(pieces, tuple(edges), tuple(self_edges))
+    # the assembly checks its pieces and edges when it is built
+    return Assembly(pieces, edges, self_edges)
 
 
 # --- subcommand handlers ------------------------------------------------------

@@ -7,12 +7,13 @@ Gluing two orbits of one connected surface instead raises the quotient
 genus by one (self-gluing).
 
 An :class:`Assembly` packages several marked pieces with gluing edges.
-:func:`assemble` flattens it to a single marked data set plus a monodromy
-word (extensions of the piece rotations, one core twist per same-sign glued
-annulus, boundary rotations for the surviving marked orbits) and a ledger
-saying which marked orbit went where.  A union-find over the pieces checks
-that the assembly is connected and counts the edges that close a cycle,
-each of which raises the quotient genus by one.
+Every structural check of an assembly runs once, in its constructor, which
+raises ``ValueError`` (``TypeError`` for a piece that is not a marked data
+set) on a fault; a union-find over the pieces checks that it is connected.
+:func:`assemble` then only flattens it to a single marked data set plus a
+monodromy word (extensions of the piece rotations, one core twist per
+same-sign glued annulus, boundary rotations for the surviving marked orbits)
+and a ledger saying which marked orbit went where.
 
 The monodromy tokens have both of their renderings here: ``str()`` gives
 the text form the CLI prints, such as ``ext(0,+) twist(edge0,+1)
@@ -71,7 +72,14 @@ def compatible_pairs(d1: DataSet, d2: DataSet) -> list[tuple[int, int]]:
             for j, q in enumerate(b.cone_pairs, 1) if _compatible(p, q)]
 
 
+def _is_index(v) -> bool:
+    # a bool is an int to Python but names no cone or piece
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_cone_index(d: DataSet, idx: int, name: str) -> ConePair:
+    if not _is_index(idx):
+        raise ValueError(f"{name} must be an integer, got {idx!r}")
     if not 1 <= idx <= d.num_pairs:
         raise ValueError(f"{name}={idx} is outside the cone index range "
                          f"1..{d.num_pairs}")
@@ -80,18 +88,18 @@ def _check_cone_index(d: DataSet, idx: int, name: str) -> ConePair:
 
 def _check_self_pair(d: DataSet, r: int, s: int) -> None:
     """Raise unless ``r < s`` index two compatible cones of ``d``."""
+    p, q = _check_cone_index(d, r, "r"), _check_cone_index(d, s, "s")
     if not r < s:
         raise ValueError(f"need r < s, got r={r}, s={s}")
-    _require_compatible(_check_cone_index(d, r, "r"),
-                        _check_cone_index(d, s, "s"))
+    _require_compatible(p, q)
 
 
 def glue(d1: DataSet, d2: DataSet, i: int, j: int) -> DataSet:
     """Glue two data sets along cones ``i`` of ``d1`` and ``j`` of ``d2``.
 
     The result keeps concatenation order: the remaining cones of ``d1``
-    followed by those of ``d2``.  Raises ``ValueError`` on degree mismatch
-    or incompatible cones.
+    followed by those of ``d2``.  Raises ``ValueError`` on degree mismatch,
+    an index that is not an integer in range, or incompatible cones.
     """
     a = _require_plain(d1, "d1")
     b = _require_plain(d2, "d2")
@@ -217,33 +225,98 @@ def boundary_slope(c: int, order: int, sign: str) -> Fraction:
 
 @dataclass(frozen=True)
 class GluingEdge:
-    """One gluing: ``left``/``right`` are (piece id, cone index) slots;
-    :func:`build_edge` and :func:`assemble` check that their cones glue."""
+    """One gluing: ``left``/``right`` are (piece id, cone index) slots.
+
+    An edge is not checked on its own: the :class:`Assembly` that holds it
+    checks, through :func:`build_edge`, that its cones glue."""
 
     left: tuple[int, int]
     right: tuple[int, int]
 
 
+class _UnionFind:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> None:
+        """Merge the classes of ``a`` and ``b``."""
+        self.parent[self.find(a)] = self.find(b)
+
+
 @dataclass(frozen=True)
 class Assembly:
+    """Marked pieces joined by edges and by self edges ``(p, r, s)``, which
+    glue cones ``r < s`` of piece ``p``.
+
+    The constructor checks the structure, in this order: at least one piece,
+    each an irreducible type 1 shape with well-formed marks; all pieces of
+    one degree; every edge compatible (through :func:`build_edge`); every
+    self edge compatible; no slot glued twice; the piece graph connected.
+    Semantic validity of the pieces is *not* demanded: gluing is
+    order-and-residue arithmetic.  The stored edges and slots are tuples.
+    """
+
     pieces: tuple[MarkedDataSet, ...]
     edges: tuple[GluingEdge, ...] = ()
     self_edges: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "self_edges",
-                           tuple(tuple(e) for e in self.self_edges))
+        pieces = tuple(self.pieces)
+        if not pieces:
+            raise ValueError("an assembly needs at least one piece")
+        for k, piece in enumerate(pieces):
+            if not isinstance(piece, MarkedDataSet):
+                raise TypeError(f"piece {k} must be a marked data set")
+            cls = classify(piece.base)
+            if cls.label != "type1-irreducible":
+                raise ValueError(f"piece {k} is not an irreducible type 1 "
+                                 f"shape ({cls.label}): {piece}")
+            _check_marks(piece, f"piece {k}: ")
+        if any(p.degree != pieces[0].degree for p in pieces):
+            raise ValueError("all pieces must share one degree")
+
+        glued: set[tuple[int, int]] = set()
+
+        def claim(slot: tuple[int, int]) -> None:
+            if slot in glued:
+                raise ValueError(f"cone {slot[1]} of piece {slot[0]} "
+                                 "is glued more than once")
+            glued.add(slot)
+
+        forest = _UnionFind(len(pieces))
+        edges = []
+        for e in self.edges:
+            edge = build_edge(pieces, e.left, e.right)
+            claim(edge.left)
+            claim(edge.right)
+            forest.union(edge.left[0], edge.right[0])
+            edges.append(edge)
+        self_edges = []
+        for e in self.self_edges:
+            _check_self_pair(_slot(pieces, e, "self edge", 3), e[1], e[2])
+            p, r, s = e
+            claim((p, r))
+            claim((p, s))
+            self_edges.append((p, r, s))
+        if len({forest.find(i) for i in range(len(pieces))}) != 1:
+            raise ValueError("the assembly is not connected")
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "self_edges", tuple(self_edges))
 
 
 def _slot(pieces: tuple, slot, field: str, width: int = 2) -> DataSet:
     # the base of the piece that a slot names.  A slot is width integers,
-    # a piece id and then cone indices; a bool is an int to Python but names
-    # no slot.  Cone indices are range-checked where they are read.
+    # a piece id and then cone indices.  Cone indices are range-checked
+    # where they are read.
     if not (isinstance(slot, (tuple, list)) and len(slot) == width
-            and all(isinstance(v, int) and not isinstance(v, bool)
-                    for v in slot)):
+            and all(map(_is_index, slot))):
         raise ValueError(f"{field} must be {width} integers, got {slot!r}")
     p = slot[0]
     if not 0 <= p < len(pieces):
@@ -251,14 +324,12 @@ def _slot(pieces: tuple, slot, field: str, width: int = 2) -> DataSet:
     return pieces[p].base
 
 
-def _check_self_edge(pieces: tuple, e) -> None:
-    # a self edge (p, r, s) glues cones r < s of piece p
-    _check_self_pair(_slot(pieces, e, "self edge", 3), e[1], e[2])
-
-
 def build_edge(pieces, left: tuple[int, int],
                right: tuple[int, int]) -> GluingEdge:
-    """Make a compatibility-checked edge between two piece slots."""
+    """Make a compatibility-checked edge between two piece slots.
+
+    :class:`Assembly` runs this on each of its edges, so an edge built
+    without it is checked all the same."""
     pieces = tuple(pieces)
     a = _slot(pieces, left, "left")
     b = _slot(pieces, right, "right")
@@ -307,72 +378,19 @@ class AssemblyResult:
     ledger: BoundaryLedger
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the classes of ``a`` and ``b``; False if already one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def assemble(a: Assembly) -> AssemblyResult:
     """Flatten an assembly to one marked data set, word and ledger.
 
-    Structural requirements: at least one piece, all of one degree, each an
-    irreducible type 1 shape with well-formed marks; every edge compatible;
-    no slot glued twice; the piece graph connected.  Semantic validity of
-    the pieces is *not* demanded — gluing is order-and-residue arithmetic.
+    Checks nothing: the :class:`Assembly` constructor has checked the
+    structure already.
     """
     pieces = a.pieces
-    if not pieces:
-        raise ValueError("an assembly needs at least one piece")
-    for k, piece in enumerate(pieces):
-        if not isinstance(piece, MarkedDataSet):
-            raise TypeError(f"piece {k} must be a marked data set")
-        cls = classify(piece.base)
-        if cls.label != "type1-irreducible":
-            raise ValueError(f"piece {k} is not an irreducible type 1 shape "
-                             f"({cls.label}): {piece}")
-        _check_marks(piece, f"piece {k}: ")
     degree = pieces[0].degree
-    if any(p.degree != degree for p in pieces):
-        raise ValueError("all pieces must share one degree")
-
-    glued: set[tuple[int, int]] = set()
-
-    def claim(slot: tuple[int, int]) -> None:
-        if slot in glued:
-            raise ValueError(f"cone {slot[1]} of piece {slot[0]} "
-                             "is glued more than once")
-        glued.add(slot)
-
-    forest = _UnionFind(len(pieces))
-    extra_quotient_genus = 0
-    for e in a.edges:
-        build_edge(pieces, e.left, e.right)
-        claim(e.left)
-        claim(e.right)
-        if not forest.union(e.left[0], e.right[0]):
-            extra_quotient_genus += 1  # gluing within one component
-    for e in a.self_edges:
-        _check_self_edge(pieces, e)
-        p, r, s = e
-        claim((p, r))
-        claim((p, s))
-        extra_quotient_genus += 1
-    if len({forest.find(i) for i in range(len(pieces))}) != 1:
-        raise ValueError("the assembly is not connected")
+    glued = {slot for e in a.edges for slot in (e.left, e.right)}
+    glued.update(slot for p, r, s in a.self_edges for slot in ((p, r), (p, s)))
+    # a connected graph of P pieces and E edges closes E - P + 1 cycles;
+    # each cycle, like each self edge, raises the quotient genus by one
+    extra_quotient_genus = len(a.edges) - len(pieces) + 1 + len(a.self_edges)
 
     # the surviving cones keep (piece, cone) order and are numbered from 1
     cone_pairs = []
@@ -441,8 +459,19 @@ def assembly_to_json(a: Assembly) -> dict:
     }
 
 
+def _json_list(obj: dict, field: str) -> list:
+    value = obj.get(field, [])
+    if not isinstance(value, list):
+        raise ValueError(f"assembly '{field}' must be a list, got {value!r}")
+    return value
+
+
 def assembly_from_json(obj: dict) -> Assembly:
-    """Rebuild an assembly; pieces may be JSON objects or tuple notation."""
+    """Rebuild an assembly; pieces may be JSON objects or tuple notation.
+
+    Only the shape of the JSON is read here; :class:`Assembly` checks the
+    rest.  Every fault is a ``ValueError``.
+    """
     if not isinstance(obj, dict) or not isinstance(obj.get("pieces"), list):
         raise ValueError("assembly JSON needs a 'pieces' list")
     # both piece readers raise only ValueError
@@ -451,12 +480,10 @@ def assembly_from_json(obj: dict) -> Assembly:
     for k, p in enumerate(pieces):
         if not isinstance(p, MarkedDataSet):
             raise ValueError(f"assembly piece {k} must be a marked data set")
-    try:
-        edges = tuple(build_edge(pieces, e["left"], e["right"])
-                      for e in obj.get("edges", ()))
-        self_edges = tuple(obj.get("self_edges", ()))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed assembly edge: {exc}") from None
-    for e in self_edges:
-        _check_self_edge(pieces, e)
-    return Assembly(pieces, edges, self_edges)
+    edges = _json_list(obj, "edges")
+    for k, e in enumerate(edges):
+        if not (isinstance(e, dict) and "left" in e and "right" in e):
+            raise ValueError(f"assembly edge {k} must be an object with "
+                             f"'left' and 'right', got {e!r}")
+    return Assembly(pieces, [GluingEdge(e["left"], e["right"]) for e in edges],
+                    _json_list(obj, "self_edges"))

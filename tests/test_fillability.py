@@ -1,7 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import perisurf.fillability as fillability
 from perisurf.census import CensusQuery, census
@@ -292,6 +296,44 @@ def test_every_negative_irreducible_resolution_is_left_veering():
                     assert veering(page) is Veering.LEFT, m
                     assert classify_irreducible(m).verdict == "Overtwisted", m
     assert (resolved, unsupported) == (50, 818)
+
+
+@cache
+def _small_census_markings() -> tuple[MarkedDataSet, ...]:
+    """Every marking with 1 or 2 marks, with both signs, of every record of
+    the genus 2-3 census with at most 5 cones."""
+    sets = [r.data_set for g in (2, 3) for r in census(CensusQuery(genus=g))
+            if r.data_set.num_pairs <= 5]
+    return tuple(MarkedDataSet(d, sign, marks) for d in sets for size in (1, 2)
+                 for marks in combinations(range(1, d.num_pairs + 1), size)
+                 for sign in "+-")
+
+
+def _check_cone_order(m, order):
+    """Move old cone ``order[k - 1]`` of ``m`` to place ``k``, relabel the
+    marks to match, and compare verdict, certificate and page slopes."""
+    base = m.base
+    moved = MarkedDataSet(
+        replace(base, cone_pairs=tuple(base.cone_pairs[i - 1] for i in order)),
+        m.sign, tuple(order.index(j) + 1 for j in m.marks))
+    v, w = classify_marked(m), classify_marked(moved)
+    assert (w.verdict, w.certificate) == (v.verdict, v.certificate), (m, order)
+    relabelled = {replace(o, mark=order[o.mark - 1])
+                  for o in page_descriptor(moved).boundary_orbits}
+    assert relabelled == set(page_descriptor(m).boundary_orbits), (m, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verdicts_do_not_depend_on_cone_order(data):
+    # a sample of the 21,538 reorderings other than the identity; to check
+    # them all, run _check_cone_order over every permutation of every marking
+    markings = _small_census_markings()
+    assert (len(markings), sum(factorial(m.base.num_pairs) - 1
+                               for m in markings)) == (866, 21538)
+    m = data.draw(st.sampled_from(markings))
+    _check_cone_order(m, data.draw(st.permutations(
+        range(1, m.base.num_pairs + 1))))
 
 
 def test_verdict_certificate_pairing_enforced():

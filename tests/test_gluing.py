@@ -8,6 +8,7 @@ from perisurf.core import canonicalize, format_data_set, genus, parse_data_set, 
 from perisurf.gluing import (
     Assembly,
     Ext,
+    GluingEdge,
     MonodromyWord,
     Rot,
     Twist,
@@ -95,6 +96,23 @@ def test_self_glue_errors():
         self_glue(four, 3, 2)  # needs r < s
     with pytest.raises(ValueError):
         self_glue(four, 1, 2)  # (1,3)+(1,3) does not cancel
+
+
+FOUR = "(3,0;(1,3),(1,3),(2,3),(2,3))"
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+@pytest.mark.parametrize("call,name", [
+    (lambda v: glue(ds(HEX1), ds(HEX2), v, 1), "i"),
+    (lambda v: glue(ds(HEX1), ds(HEX2), 1, v), "j"),
+    (lambda v: self_glue(ds(FOUR), v, 3), "r"),
+    (lambda v: self_glue(ds(FOUR), 2, v), "s"),
+])
+def test_cone_indices_are_integers(call, name, bad):
+    # True once glued cone 1 and 1.0 or "1" raised a bare TypeError
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value) == f"{name} must be an integer, got {bad!r}"
 
 
 def test_glue_is_symmetric_up_to_canonical_order():
@@ -285,6 +303,17 @@ def test_assemble_structural_errors():
             assemble(Assembly((hex1,), (), (self_edge,)))
 
 
+def test_a_bad_edge_raises_when_the_assembly_is_built():
+    pieces = (ds("(6_+,0;(1,2),(1,3),(1,6),[1])"),
+              ds("(6_+,0;(1,2),(2,3),(5,6),[1])"))
+    with pytest.raises(ValueError, match=r"cones \(1,2\) of piece 0 and "
+                                         r"\(2,3\) of piece 1 are not"):
+        Assembly(pieces, (GluingEdge((0, 1), (1, 2)),))
+    # an unchecked edge with list slots is checked and stored as tuples
+    built = Assembly(pieces, (GluingEdge([0, 3], [1, 3]),))
+    assert built.edges == (build_edge(pieces, (0, 3), (1, 3)),)
+
+
 def test_single_piece_assembly_is_identity_like():
     piece = ds("(6_-,0;(1,2),(2,3),(5,6),[3])")
     result = assemble(Assembly((piece,)))
@@ -338,6 +367,19 @@ def test_assembly_json_rejects_malformed_payloads():
 
 
 PENTAGONS = ["(5_+,0;(2,5),(3,5),(1,5),[3])", "(5_+,0;(4,5),(3,5),(3,5),[1])"]
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"edges": [[0, 3]]}, "assembly edge 0 must be an object with 'left' "
+                          "and 'right', got [0, 3]"),
+    ({"edges": "ab"}, "assembly 'edges' must be a list, got 'ab'"),
+    ({"edges": 5}, "assembly 'edges' must be a list, got 5"),
+    ({"self_edges": 5}, "assembly 'self_edges' must be a list, got 5"),
+])
+def test_assembly_json_errors_name_the_field(fields, message):
+    with pytest.raises(ValueError) as info:
+        assembly_from_json({"pieces": PENTAGONS, **fields})
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("edges,self_edges,message", [

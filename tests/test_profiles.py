@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import importlib.util
+import json
 import math
 import sys
 from dataclasses import replace
@@ -35,24 +37,36 @@ def test_build_profile_defaults():
     assert pp.g0[-1] == -1 + 2 * pp.K
 
 
-def test_default_twist_count_matches_the_scan():
-    # the closed form gives the scan's offset, or its ValueError message,
-    # for every p in 1..79 and q in -400..400 and a few far slopes
-    def outcome(count, p, q):
-        try:
-            return count(p, q)
-        except ValueError as exc:
-            return str(exc)
+# The outcomes of reference._default_twist_count_by_scan are pinned in
+# twist_count_golden.json.  Regenerate the file by running that scan with
+#
+#     PYTHONPATH=src python tests/test_profiles.py
+TWIST_COUNT_GOLDEN = Path(__file__).with_name("twist_count_golden.json")
 
+
+def _twist_count_outcomes(count) -> dict:
+    """The offset, or the ValueError message, that ``count`` gives for every
+    p in 1..79 and q in -400..400 and a few far slopes: their number, the
+    number refused and the sha256 of the ``repr`` of their list."""
     slopes = [(p, q) for p in range(1, 80) for q in range(-400, 401)]
     slopes += [(1, 10**6), (1, -10**6), (7, 100003), (99991, -99989),
                (3, 100000)]
-    refused = 0
+    outcomes = []
     for p, q in slopes:
-        expected = outcome(_default_twist_count_by_scan, p, q)
-        assert outcome(profiles._default_twist_count, p, q) == expected, (p, q)
-        refused += isinstance(expected, str)
-    assert (len(slopes), refused) == (63284, 28520)
+        try:
+            outcomes.append(count(p, q))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    return {"slopes": len(outcomes),
+            "refused": sum(isinstance(o, str) for o in outcomes),
+            "sha256": hashlib.sha256(repr(outcomes).encode()).hexdigest()}
+
+
+def test_default_twist_count_matches_the_scan():
+    # the closed form gives the scan's offset or its ValueError message
+    outcomes = _twist_count_outcomes(profiles._default_twist_count)
+    assert (outcomes["slopes"], outcomes["refused"]) == (63284, 28520)
+    assert outcomes == json.loads(TWIST_COUNT_GOLDEN.read_text())
 
 
 def test_positive_slope_profile_verifies():
@@ -275,3 +289,9 @@ def test_profile_sweep_script_maps_the_feasible_region(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "24 feasible slopes of 94 tested" in out
     assert "unexpected misses" not in out
+
+
+if __name__ == "__main__":
+    TWIST_COUNT_GOLDEN.write_text(json.dumps(
+        _twist_count_outcomes(_default_twist_count_by_scan), indent=1) + "\n")
+    print(f"scan outcomes written to {TWIST_COUNT_GOLDEN}", file=sys.stderr)
