@@ -36,10 +36,13 @@ once per data set; a free rotation cell is checked the same way, on its
 first unit.  Tests hold every emitted data set valid over random cells, and
 the oracle equal to the generator on a grid.
 
-Each irreducible record gets its own polygon, and its ``polygon_verified``
-is what :func:`perisurf.realization.verify_realization` would say of it;
-:mod:`perisurf.realization` says how one call shares the checks that read
-a pairing alone.
+Each irreducible record's ``polygon_verified`` is what
+:func:`perisurf.realization.verify_realization` says of its polygon.  One
+census call checks each distinct polygon shape once, and
+:mod:`perisurf.realization` gives the lemma that makes that exact.  The
+cone tables, one ``ConePair`` and one ``"(c,order)"`` text per unit ``c``
+of each cone order, are likewise built once per call and shared by its
+cells.
 
 A cell's records are read from the integers the generator holds.  Each data
 set's text rendering is joined from per-cone strings, and the cell is sorted
@@ -213,20 +216,23 @@ def _residue_tuples(n: int, orders: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def _cell(n: int, g: int) -> list[tuple[str, DataSet, str]]:
+def _cell(n: int, g: int, tables: tuple[dict[int, dict[int, ConePair]],
+                                        dict[int, dict[int, str]]] | None = None
+          ) -> list[tuple[str, DataSet, str]]:
     # every valid data set of degree n and genus g as (text, data set,
     # class label), in text order; text is format_data_set of the set, built
-    # from the integers for sets with cones
+    # from the integers for sets with cones.  tables holds, per cone order,
+    # each unit c's ConePair and its text "(c,order)", and gains the orders
+    # this cell uses; pairs are immutable, so one instance per (c, order)
+    # serves every cell that is passed the same tables.  Without them the
+    # cell builds its own.
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
     if g < 0:
         raise ValueError(f"genus must be non-negative, got {g}")
     cell = [(format_data_set(d), d, classify(d).label)
             for d in _free_rotations(n, g)]
-    # per cone order, each unit c's ConePair and its text "(c,order)";
-    # pairs are immutable, so one instance per (c, order) serves all
-    cones: dict[int, dict[int, ConePair]] = {}
-    texts: dict[int, dict[int, str]] = {}
+    cones, texts = ({}, {}) if tables is None else tables
 
     g0 = 0
     while True:
@@ -353,10 +359,11 @@ class CensusRecord:
 
 
 def _build_record(d: DataSet, g: int, label: str,
-                  checked: dict[tuple[int, ...], tuple[bool, int | None]]
+                  checked: dict[tuple[int, int, int, int],
+                                tuple[bool, int | None, bool]]
                   ) -> CensusRecord:
     # d comes canonical and valid from the enumerators, with genus g;
-    # checked is realization's per-call table of pairing-only checks
+    # checked is realization's per-call table of polygon checks
     return CensusRecord(d, g, label, _verified(d, g, checked)
                         if label == "type1-irreducible" else None)
 
@@ -374,7 +381,10 @@ def census(query: CensusQuery, *, workers: int | None = None,
         raise ValueError(f"workers must be at least 1, got {workers}")
     wanted = query.action_class
     records: list[CensusRecord] = []
-    checked: dict[tuple[int, ...], tuple[bool, int | None]] = {}
+    # per-call memos: the polygon checks per polygon shape, and the cone
+    # tables of _cell; nothing is kept from one call to the next
+    checked: dict[tuple[int, int, int, int], tuple[bool, int | None, bool]] = {}
+    tables: tuple[dict, dict] = ({}, {})
     for g in query.genus_range():
         if query.degrees is not None:
             degs = query.degrees
@@ -388,7 +398,7 @@ def census(query: CensusQuery, *, workers: int | None = None,
             if oracle:
                 rows = ((d, classify(d).label) for d in enumerate_oracle(n, g))
             else:
-                rows = ((d, label) for _, d, label in _cell(n, g))
+                rows = ((d, label) for _, d, label in _cell(n, g, tables))
             records.extend([_build_record(d, g, label, checked)
                             for d, label in rows
                             if wanted is None or label == wanted])

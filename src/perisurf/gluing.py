@@ -258,8 +258,12 @@ class Assembly:
     each an irreducible type 1 shape with well-formed marks; all pieces of
     one degree; every edge compatible (through :func:`build_edge`); every
     self edge compatible; no slot glued twice; the piece graph connected.
-    Semantic validity of the pieces is *not* demanded: gluing is
-    order-and-residue arithmetic.  The stored edges and slots are tuples.
+    ``pieces``, ``edges`` and ``self_edges`` must be tuples or lists, each
+    piece a :class:`MarkedDataSet` and each edge a :class:`GluingEdge`; a
+    value of another type raises ``TypeError`` naming the field, and any
+    other fault ``ValueError``.  Semantic validity of the pieces is *not*
+    demanded: gluing is order-and-residue arithmetic.  The stored edges and
+    slots are tuples.
     """
 
     pieces: tuple[MarkedDataSet, ...]
@@ -267,7 +271,7 @@ class Assembly:
     self_edges: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        pieces = tuple(self.pieces)
+        pieces = _entries(self.pieces, "pieces")
         if not pieces:
             raise ValueError("an assembly needs at least one piece")
         for k, piece in enumerate(pieces):
@@ -291,14 +295,16 @@ class Assembly:
 
         forest = _UnionFind(len(pieces))
         edges = []
-        for e in self.edges:
+        for k, e in enumerate(_entries(self.edges, "edges")):
+            if not isinstance(e, GluingEdge):
+                raise TypeError(f"edge {k} must be a GluingEdge")
             edge = build_edge(pieces, e.left, e.right)
             claim(edge.left)
             claim(edge.right)
             forest.union(edge.left[0], edge.right[0])
             edges.append(edge)
         self_edges = []
-        for e in self.self_edges:
+        for e in _entries(self.self_edges, "self_edges"):
             _check_self_pair(_slot(pieces, e, "self edge", 3), e[1], e[2])
             p, r, s = e
             claim((p, r))
@@ -309,6 +315,12 @@ class Assembly:
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "self_edges", tuple(self_edges))
+
+
+def _entries(value, field: str) -> tuple:
+    if not isinstance(value, (tuple, list)):
+        raise TypeError(f"{field} must be a tuple or a list, got {value!r}")
+    return tuple(value)
 
 
 def _slot(pieces: tuple, slot, field: str, width: int = 2) -> DataSet:

@@ -7,7 +7,8 @@ numerical on a sample grid with an explicit tolerance; values inside the
 tolerance band are reported as inconclusive rather than silently passed or
 failed.  A profile is built as three arcs (binding arc, Hermite arc, collar)
 from a plan of the sample count, which holds the grid and the Hermite basis
-and is kept for the last few counts, and the condition values are computed
+and is kept for the last few counts up to the CLI's sample bound (a larger
+plan is built for its caller alone), and the condition values are computed
 over a window of samples in one pass.  One scan yields a window's
 inconclusive values and definite violations in grid order, and walks the
 samples only when some value is not clearly of the wanted sign.
@@ -86,6 +87,19 @@ class _SamplePlan:
     collar: tuple[float, ...]
 
 
+# the CLI's --samples bound; a plan holds about 145 bytes per sample, so the
+# memo keeps at most four plans of up to 100,000 samples each
+_KEPT_SAMPLES = 100_000
+
+
+def _plan(samples: int) -> _SamplePlan:
+    # the plan of a sample count: from the memo up to _KEPT_SAMPLES, and
+    # above that built for this caller alone
+    if samples > _KEPT_SAMPLES:
+        return _sample_plan.__wrapped__(samples)
+    return _sample_plan(samples)
+
+
 # typed: a float count such as 1024.0 gets its own entry, and range refuses it
 @lru_cache(maxsize=4, typed=True)
 def _sample_plan(samples: int) -> _SamplePlan:
@@ -112,19 +126,19 @@ def _sample_plan(samples: int) -> _SamplePlan:
 
 
 def _profile_points(p: int, q: int, K: int, H: float, peak: float,
-                    samples: int):
+                    plan: _SamplePlan):
     """Yield the binding arc, the Hermite arc and the collar of the profile,
     in order, each as three sequences ``(r, f0, g0)`` of its samples.
 
     Construction never fails on shape grounds: a collar offset that misses
     the corner still produces a curve, and the verifier rejects it.  There
-    is no sign restriction on ``p`` here.  Everything that depends on
-    ``samples`` alone (the arcs' samples, the squares of the binding arc and
-    the Hermite basis) comes from a plan that is computed once per sample
-    count and kept for the last few counts, so a profile costs only its
-    shape arithmetic; each float is the one a per-profile computation gives.
+    is no sign restriction on ``p`` here.  Everything that depends on the
+    sample count alone (the arcs' samples, the squares of the binding arc
+    and the Hermite basis) comes from ``plan``, which :func:`_plan` keeps
+    for the last few counts up to the CLI's bound, so a profile costs only
+    its shape arithmetic; each float is the one a per-profile computation
+    gives.
     """
-    plan = _sample_plan(samples)
     a, b = _BINDING_END, _COLLAR_START
     two_h = 2 * H
     yield plan.binding, [two_h - s for s in plan.squares], plan.squares
@@ -149,10 +163,11 @@ def _profile_points(p: int, q: int, K: int, H: float, peak: float,
 
 def _assemble_profile(p: int, q: int, K: int, H: float, peak: float = 1.0,
                       samples: int = 1024) -> ProfilePair:
-    _, f0, g0 = zip(*_profile_points(p, q, K, H, peak, samples))
-    # one grid tuple per sample count, shared by every profile built on it
-    return ProfilePair(_sample_plan(samples).grid, tuple(chain(*f0)),
-                       tuple(chain(*g0)), p, q, K, H)
+    plan = _plan(samples)
+    _, f0, g0 = zip(*_profile_points(p, q, K, H, peak, plan))
+    # one grid tuple per kept sample count, shared by every profile built on it
+    return ProfilePair(plan.grid, tuple(chain(*f0)), tuple(chain(*g0)),
+                       p, q, K, H)
 
 
 def _in_corner(p: int, q: int, K: int) -> bool:
@@ -340,6 +355,7 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
         raise ValueError("p must be nonzero")
     _require_lowest_terms(p, q)
     _require_verifiable(samples)
+    plan = _plan(samples)
     peaks = (1.0, 0.5, 0.75, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
     # the corner depends on K alone, so it is decided once per K
     corner_ks = {K for K in range(1, 11) if _in_corner(p, q, K)}
@@ -355,7 +371,7 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
             continue  # verification cannot pass
         for peak in peaks[:budget]:
             grid, f0, g0 = [], [], []
-            arcs = _profile_points(p, q, K, float(H), peak, samples)
+            arcs = _profile_points(p, q, K, float(H), peak, plan)
             for arc, (rs, fs, gs) in enumerate(arcs):
                 lo = max(len(grid) - 1, 0)
                 grid += rs

@@ -15,12 +15,17 @@ reads the pairing alone: whether it is an involution and, if so, the Euler
 genus from the vertex cycles.  ``_equivariant`` checks that the pairing
 commutes with a rotation step.  :class:`RealizationReport` holds their
 results, and its ``ok`` is the one rule for a verified polygon: the census's
-``polygon_verified`` and the ``polygon`` command both read it.  Within one
-:func:`perisurf.census.census` call the pairing-only checks run once per
-distinct pairing, which is far fewer than the polygons (136 pairings for
-the 738 polygons of genera 4 to 10); equivariance under the rotation step
-and the comparison with the record's genus run per record.  Nothing is
-kept from one call to the next.
+``polygon_verified`` and the ``polygon`` command both read it.
+
+Within one :func:`perisurf.census.census` call both checks run once per
+polygon shape, not once per record.  A polygon's pairing is fixed by its
+degree, side count and ``z_offset`` (``_polygon_shape``), and whether a map
+on the sides commutes with rotation by ``s`` depends only on ``gcd(s, k)``
+for ``k`` sides (the lemma is at ``_verified``).  The 738 irreducible
+records of genera 4 to 10 have 143 shapes.  Each record still builds its
+own report, with its own genus, and reads ``ok``; so its flag is what
+:func:`verify_realization` says of its polygon.  Nothing is kept from one
+call to the next.
 
 The module holds the polygon model, its verifier and an SVG drawing, and
 needs nothing but :mod:`perisurf.core`.  Within the package, the census
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import repeat
+from math import gcd
 
 from .core import DataSet, canonicalize, classify, genus, mod_inverse, validate
 
@@ -97,17 +103,33 @@ def polygon_realization(d: DataSet) -> PolygonPresentation:
 def _polygon(canon: DataSet, g: int) -> PolygonPresentation:
     # the polygon of a canonical, valid, irreducible type 1 data set of
     # surface genus g; callers that already know all that skip the guards
+    n, k, z_offset, rotation_step = _polygon_shape(canon)
+    return PolygonPresentation(
+        sides=k,
+        pairing=_pairing(n, k, z_offset),
+        rotation_step=rotation_step,
+        degree=n,
+        outside_theorem=g < 2,
+    )
+
+
+def _polygon_shape(canon: DataSet) -> tuple[int, int, int, int]:
+    # (degree n, side count k, z_offset, rotation step) of the polygon of a
+    # canonical irreducible type 1 data set; the pairing depends on the
+    # first three alone
     n = canon.degree
     p1, p2, p3 = canon.cone_pairs
     inverse = mod_inverse(p3.c, n)
     q = (n // p2.order) * inverse % n
-    j = p2.order - p2.c
-    z_offset = (q * j) % n
-    doubled = p1.order != 2 and p2.order != 2
-    k = 2 * n if doubled else n
+    z_offset = q * (p2.order - p2.c) % n
+    k = n if p1.order == 2 or p2.order == 2 else 2 * n
+    return n, k, z_offset, (k // n) * inverse % k
 
+
+def _pairing(n: int, k: int, z_offset: int) -> tuple[int, ...]:
+    # the side pairing of a polygon of degree n with k = 2n or k = n sides
     pairing = [0] * k
-    if doubled:
+    if k != n:
         # odd side 2m+1 is glued, reversed, onto even side 2z
         for m in range(n):
             z = (m + z_offset) % n or n
@@ -120,15 +142,7 @@ def _polygon(canon: DataSet, g: int) -> PolygonPresentation:
         for m in range(n):
             z = (m + z_offset) % n or n
             pairing[m] = z
-
-    rotation_step = (k // n) * inverse % k
-    return PolygonPresentation(
-        sides=k,
-        pairing=tuple(pairing),
-        rotation_step=rotation_step,
-        degree=n,
-        outside_theorem=g < 2,
-    )
+    return tuple(pairing)
 
 
 def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
@@ -157,33 +171,37 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
             and all(map(isinstance, pairing, repeat(int)))):
         # no polygon to glue: a pairing must name one partner per side
         return RealizationReport(None, genus(d), False, False)
-    return _report(p, genus(d), {})
+    involution_ok, euler_genus = _pairing_checks(pairing)
+    return RealizationReport(euler_genus, genus(d), involution_ok,
+                             _equivariant(pairing, p.rotation_step))
 
 
 def _verified(canon: DataSet, g: int,
-              checked: dict[tuple[int, ...], tuple[bool, int | None]]) -> bool:
+              checked: dict[tuple[int, int, int, int],
+                            tuple[bool, int | None, bool]]) -> bool:
     # whether verify_realization passes the polygon of a canonical, valid,
-    # irreducible type 1 data set of genus g; checked holds the pairing-only
-    # checks of the pairings seen so far, and gains this polygon's
-    return _report(_polygon(canon, g), g, checked).ok
-
-
-def _report(p: PolygonPresentation, rh_genus: int,
-            checked: dict[tuple[int, ...], tuple[bool, int | None]]
-            ) -> RealizationReport:
-    # the report on a well-formed presentation, taking its pairing-only
-    # checks from checked and adding them there when missing
-    pairing = tuple(p.pairing)
-    shared = checked.get(pairing)
+    # irreducible type 1 data set of genus g.  checked holds, per polygon
+    # shape seen so far, the pairing-only checks and the equivariance, and
+    # gains this polygon's.  The pairing is fixed by (n, k, z_offset), and
+    # by the lemma below the equivariance by gcd(step, k), so every record
+    # reads what its own report would say.
+    #
+    # Lemma: a map P on Z/k commutes with rotation by s if and only if it
+    # commutes with rotation by d = gcd(s, k).  Rotation by s is (rotation
+    # by d)^(s/d); and d = a*s + b*k for some integers a, b, so rotation by
+    # d is (rotation by s)^a.  A census polygon has gcd(step, k) = k/n,
+    # since its step is (k/n)*c^-1 with c^-1 a unit mod n, so in practice
+    # the checks run once per (n, k, z_offset).
+    n, k, z_offset, step = _polygon_shape(canon)
+    key = (n, k, z_offset, gcd(step, k))
+    shared = checked.get(key)
     if shared is None:
-        shared = checked[pairing] = _pairing_checks(pairing)
-    involution_ok, euler_genus = shared
-    return RealizationReport(
-        euler_genus=euler_genus,
-        rh_genus=rh_genus,
-        involution_ok=involution_ok,
-        equivariance_ok=_equivariant(pairing, p.rotation_step),
-    )
+        pairing = _pairing(n, k, z_offset)
+        shared = checked[key] = (*_pairing_checks(pairing),
+                                 _equivariant(pairing, key[3]))
+    involution_ok, euler_genus, equivariance_ok = shared
+    return RealizationReport(euler_genus, g, involution_ok,
+                             equivariance_ok).ok
 
 
 def _pairing_checks(pairing) -> tuple[bool, int | None]:

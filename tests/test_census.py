@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import replace
 from enum import IntEnum
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -283,7 +284,7 @@ def test_census_records():
 def test_census_class_filter(monkeypatch):
     # the filter drops rows before their records, and polygons, are built
     built = []
-    monkeypatch.setattr(sys.modules["perisurf.realization"], "_polygon",
+    monkeypatch.setattr(sys.modules["perisurf.realization"], "_polygon_shape",
                         lambda *args: built.append(args))
     records = census(CensusQuery(genus=2, degrees=(2, 3, 4, 5, 6),
                                  action_class="rotational"), workers=1)
@@ -305,30 +306,58 @@ def test_polygon_flags_equal_the_public_verifier():
             assert r.polygon_verified is report.ok, r.data_set
 
 
-def test_shared_pairing_checks_leave_equivariance_per_record(monkeypatch):
+def test_polygon_checks_are_shared_only_within_one_rotation_subgroup(
+        monkeypatch):
     # two records of one cell get one pairing, and the second a rotation
-    # step that breaks equivariance: only the second may fail
+    # step that generates another rotation subgroup, under which that
+    # pairing is not equivariant: only the second may fail
     realization_module = sys.modules["perisurf.realization"]
-    polygon = realization_module._polygon
+    shape = realization_module._polygon_shape
     # the genus-3 cell of degree 8 has six irreducible sets, and the first
     # one's pairing commutes only with rotations by an even step
     query = CensusQuery(genus=3, degrees=(8,))
     first, second = [r.data_set for r in census(query)
                      if r.action_class == "type1-irreducible"][:2]
-    shared = polygon(first, 3)
-    bad = next(replace(shared, rotation_step=s) for s in range(shared.sides)
+    n, k, z_offset, step = shape(first)
+    shared = realization_module._polygon(first, 3)
+    bad = next(s for s in range(k)
                if not verify_realization(replace(shared, rotation_step=s),
                                          second).equivariance_ok)
+    assert gcd(bad, k) != gcd(step, k)
 
-    def patched(d, g):
-        return shared if d == first else bad if d == second else polygon(d, g)
+    def patched(d):
+        return (n, k, z_offset, bad) if d == second else shape(d)
 
-    monkeypatch.setattr(realization_module, "_polygon", patched)
+    monkeypatch.setattr(realization_module, "_polygon_shape", patched)
     flags = {r.data_set: r.polygon_verified for r in census(query)
              if r.action_class == "type1-irreducible"}
     assert flags.pop(first) is True
     assert flags.pop(second) is False
     assert flags and all(v is True for v in flags.values())
+
+
+def test_census_checks_each_polygon_shape_once(monkeypatch):
+    # the 738 irreducible records of genera 4 to 10 have 143 polygon
+    # shapes; the pairing checks and the equivariance run once per shape
+    # and census call, not once per record
+    realization_module = sys.modules["perisurf.realization"]
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(realization_module, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return original(*args)
+        return counting
+
+    for name in ("_pairing_checks", "_equivariant"):
+        monkeypatch.setattr(realization_module, name, counted(name))
+    irreducible = sum(r.action_class == "type1-irreducible"
+                      for g in range(4, 11)
+                      for r in census(CensusQuery(genus=g)))
+    assert irreducible == 738
+    assert calls == {"_pairing_checks": 143, "_equivariant": 143}
 
 
 def test_census_and_cli_read_the_report_verdict(monkeypatch, capsys):

@@ -323,6 +323,10 @@ def test_parse_errors_carry_positions():
     ("(5,0,1(1,5))", "expected ';' before the cone pairs (at position 6)"),
     ("(5,0:(1,5))", "expected ';' after the preamble (at position 4)"),
     ("(5,1,1;-,3)", "expected a marks list after ',' (at position 9)"),
+    ("(6,0;(1,2),(1,3),(1,6),[1])",
+     "a marks list requires a sign on the degree (at position 0)"),
+    ("(6_+,0;(1,2),(1,3),(1,6))",
+     "a sign on the degree requires a marks list (at position 0)"),
 ])
 def test_parse_errors_name_what_was_expected(text, message):
     with pytest.raises(ParseError) as info:

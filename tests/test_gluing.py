@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -312,6 +313,21 @@ def test_a_bad_edge_raises_when_the_assembly_is_built():
     # an unchecked edge with list slots is checked and stored as tuples
     built = Assembly(pieces, (GluingEdge([0, 3], [1, 3]),))
     assert built.edges == (build_edge(pieces, (0, 3), (1, 3)),)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"edges": [((0, 3), (1, 3))]}, "edge 0 must be a GluingEdge"),
+    ({"edges": 5}, "edges must be a tuple or a list, got 5"),
+    ({"self_edges": 5}, "self_edges must be a tuple or a list, got 5"),
+    ({"pieces": 5}, "pieces must be a tuple or a list, got 5"),
+])
+def test_assembly_type_errors_name_the_field(fields, message):
+    pieces = (ds("(6_+,0;(1,2),(1,3),(1,6),[1])"),
+              ds("(6_+,0;(1,2),(2,3),(5,6),[1])"))
+    args = {"pieces": pieces, "edges": (GluingEdge((0, 3), (1, 3)),),
+            **fields}
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        Assembly(**args)
 
 
 def test_single_piece_assembly_is_identity_like():

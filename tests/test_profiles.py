@@ -188,6 +188,27 @@ def test_sample_plan_memo_is_bounded():
         assert info().currsize <= info().maxsize
 
 
+def test_sample_plans_above_the_cli_bound_are_not_kept():
+    # the memo keeps plans up to the CLI's --samples bound; a larger plan is
+    # built for its caller alone and leaves the memo as it was
+    from perisurf.cli import _MAX_SAMPLES
+
+    assert profiles._KEPT_SAMPLES == _MAX_SAMPLES
+    info = profiles._sample_plan.cache_info
+    search_profiles(5, 1)
+    grid = build_profile(5, 1).grid
+    kept = info()
+    big = build_profile(2, 1, samples=200_000)
+    assert len(big.grid) == 200_000
+    assert big.grid[::19_999] == tuple(i / 199_999
+                                       for i in range(0, 200_000, 19_999))
+    assert info() == kept
+    # the 256- and 1024-sample plans of the search and the verifier stay
+    search_profiles(5, 1)
+    assert build_profile(2, 1).grid is grid
+    assert info().misses == kept.misses and info().hits == kept.hits + 2
+
+
 def test_float_sample_count_is_refused_after_a_build_at_that_count():
     build_profile(5, 1, samples=1024)
     with pytest.raises(TypeError):

@@ -1,12 +1,14 @@
 import dataclasses
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from perisurf.census import enumerate_irreducible
+from perisurf.census import CensusQuery, census, enumerate_irreducible
 from perisurf.core import parse_data_set
 from perisurf.realization import (
     PolygonPresentation,
+    _equivariant,
     _pairing_checks,
     draw_polygon_svg,
     polygon_realization,
@@ -198,6 +200,50 @@ def test_every_involution_glues_to_a_surface_with_a_genus(order):
     involution_ok, g = _pairing_checks(pairing)
     assert involution_ok and type(g) is int and g >= 0
     assert g == _euler_genus_by_union_find(pairing)
+
+
+def _census_polygons():
+    # the polygon of every irreducible census record of genus 2 to 8
+    return [polygon_realization(r.data_set) for g in range(2, 9)
+            for r in census(CensusQuery(genus=g))
+            if r.action_class == "type1-irreducible"]
+
+
+def test_census_polygon_steps_generate_the_rotations_by_k_over_n():
+    # a census polygon's step is (k/n) * c^-1 with c^-1 a unit mod n
+    polygons = _census_polygons()
+    assert len(polygons) == 408
+    for p in polygons:
+        assert gcd(p.rotation_step, p.sides) == p.sides // p.degree, p
+
+
+def test_census_pairings_are_equivariant_by_the_gcd_of_the_step():
+    # the lemma at realization._verified, on every census pairing and step
+    pairings = {p.pairing for p in _census_polygons()}
+    for pairing in pairings:
+        k = len(pairing)
+        for s in range(k):
+            assert _equivariant(pairing, s) == \
+                _equivariant(pairing, gcd(s, k)), (pairing, s)
+
+
+@st.composite
+def _maps(draw):
+    # a map P: range(k) -> 1..k with P(i + d) = P(i) + d mod k for a drawn
+    # divisor d of k, so that P commutes with rotation by d and may or may
+    # not commute with the other rotations; d = k gives any map
+    k = draw(st.integers(min_value=1, max_value=30))
+    d = draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0]))
+    head = draw(st.lists(st.integers(min_value=1, max_value=k),
+                         min_size=d, max_size=d))
+    return tuple((head[i % d] - 1 + i - i % d) % k + 1 for i in range(k))
+
+
+@given(_maps().filter(lambda m: not _pairing_checks(m)[0]))
+def test_equivariance_of_any_map_depends_on_the_gcd_of_the_step(m):
+    k = len(m)
+    for s in range(k):
+        assert _equivariant(m, s) == _equivariant(m, gcd(s, k)), s
 
 
 def test_svg_output(tmp_path):
