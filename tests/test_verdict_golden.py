@@ -1,4 +1,5 @@
-"""Pinned fillability verdicts for every marking of the genus 2-4 census.
+"""Pinned fillability verdicts and open books for every marking of the
+genus 2-4 census.
 
 The sha256 in ``tests/verdict_golden.json`` is taken over the output of
 ``fill --json`` for each of the 5,924 markings of ``_census_markings()``,
@@ -7,7 +8,13 @@ the same bytes as the CLI: ``json.dumps(verdict_to_json(v), indent=2)``
 plus a newline per marking.  A few markings are also run through the CLI
 in process, one per verdict, to keep the two equal.
 
-Regenerate the golden file (only when a verdict change is intended) with::
+``open_book_sha256`` is taken, over the same markings, on one JSON line per
+marking: its page descriptor, surgery description, veering direction, and
+the page of its integral resolution or the message of the
+``UnsupportedResolution`` that refuses one.
+
+Regenerate the golden file (only when a verdict or open-book change is
+intended) with::
 
     PYTHONPATH=src python tests/test_verdict_golden.py
 """
@@ -25,6 +32,15 @@ from pathlib import Path
 from perisurf.cli import main
 from perisurf.core import format_data_set
 from perisurf.fillability import classify_marked, verdict_to_json
+from perisurf.openbook import (
+    UnsupportedResolution,
+    descriptor_to_json,
+    integral_resolution,
+    page_descriptor,
+    surgery_description,
+    surgery_to_json,
+    veering,
+)
 from test_fillability import _census_markings
 
 GOLDEN = Path(__file__).with_name("verdict_golden.json")
@@ -35,13 +51,27 @@ def _fill_json(m) -> str:
     return json.dumps(verdict_to_json(classify_marked(m)), indent=2) + "\n"
 
 
+def _open_book_json(m) -> str:
+    """One JSON line of the open-book layer's outputs for the marking ``m``."""
+    page = page_descriptor(m)
+    try:
+        resolved = descriptor_to_json(integral_resolution(page))
+    except UnsupportedResolution as exc:
+        resolved = str(exc)
+    return json.dumps([descriptor_to_json(page),
+                       surgery_to_json(surgery_description(page)),
+                       veering(page).value, resolved]) + "\n"
+
+
 def _digest() -> dict:
-    sha = hashlib.sha256()
+    verdicts, open_books = hashlib.sha256(), hashlib.sha256()
     count = 0
     for m in _census_markings():
-        sha.update(_fill_json(m).encode())
+        verdicts.update(_fill_json(m).encode())
+        open_books.update(_open_book_json(m).encode())
         count += 1
-    return {"markings": count, "sha256": sha.hexdigest()}
+    return {"markings": count, "sha256": verdicts.hexdigest(),
+            "open_book_sha256": open_books.hexdigest()}
 
 
 def test_verdicts_match_golden():
