@@ -198,7 +198,7 @@ def _cmd_polygon(args):
     report = verify_realization(pres, d)
     if args.svg:
         draw_polygon_svg(pres, args.svg)
-    payload = {**asdict(pres),
+    payload = {"sides": pres.sides, **asdict(pres),
                "verification": realization_report_to_json(report)}
     pairs = sorted({tuple(sorted((i + 1, j)))
                     for i, j in enumerate(pres.pairing)})
@@ -532,7 +532,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if vars(args).get("file") and (args.pieces or args.edge or args.self_edge):
+        parser.error("argument --file: not allowed with pieces or edges")
     try:
         code, payload, lines = args.func(args)
         # printing stays inside the try: a closed pipe is an OSError too

@@ -119,10 +119,13 @@ class MarkedDataSet:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of :func:`validate`: every violated condition, or none."""
+    """Outcome of :func:`validate`: the violated conditions; valid if none."""
 
-    valid: bool
     violations: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
     def ids(self) -> tuple[str, ...]:
         return tuple(cond for cond, _ in self.violations)
@@ -293,8 +296,7 @@ def validate(d: DataSet | MarkedDataSet) -> ValidationReport:
         out.append(("genus-integrality",
                     f"degree/cone data give surface genus {g}"))
 
-    violations = tuple(out + mark_violations)
-    return ValidationReport(valid=not violations, violations=violations)
+    return ValidationReport(violations=tuple(out + mark_violations))
 
 
 def _residues_decide(degree: int, orders: Sequence[int]) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 
 from .core import MarkedDataSet, _check_marks, _fraction_to_json, genus
@@ -31,14 +32,21 @@ class BoundaryOrbit:
     """One marked orbit of the binding.
 
     ``mark`` is the cone index in the data set, ``orbit_size`` the number of
-    boundary circles in the orbit; ``invariant`` means a single circle.
+    boundary circles in the orbit; ``invariant`` means a single circle, and
+    the circles share the full-period slope as ``per_period_slope``.
     """
 
     mark: int
     orbit_size: int
     full_period_slope: Fraction
-    per_period_slope: Fraction
-    invariant: bool
+
+    @property
+    def invariant(self) -> bool:
+        return self.orbit_size == 1
+
+    @cached_property
+    def per_period_slope(self) -> Fraction:
+        return self.full_period_slope / self.orbit_size
 
     @property
     def fdtc(self) -> Fraction | None:
@@ -48,16 +56,21 @@ class BoundaryOrbit:
 
 @dataclass(frozen=True)
 class OpenBookDescriptor:
+    """An open book; ``positive_word`` is whether its word is positive."""
+
     page_genus: int
     boundary_orbits: tuple[BoundaryOrbit, ...]
     monodromy: MonodromyWord
-    positive_word: bool
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boundary_orbits", tuple(self.boundary_orbits))
         if not isinstance(self.monodromy, MonodromyWord):
             object.__setattr__(
                 self, "monodromy", MonodromyWord(tuple(self.monodromy)))
+
+    @property
+    def positive_word(self) -> bool:
+        return self.monodromy.positive
 
     @property
     def boundary_count(self) -> int:
@@ -81,24 +94,18 @@ def page_descriptor(m: MarkedDataSet) -> OpenBookDescriptor:
         if base.degree % pair.order != 0:
             raise ValueError(f"cone order {pair.order} at mark {j} "
                              f"does not divide the degree {base.degree}")
-        size = base.degree // pair.order
-        full = boundary_slope(pair.c, pair.order, m.sign)
         orbits.append(BoundaryOrbit(
             mark=j,
-            orbit_size=size,
-            full_period_slope=full,
-            per_period_slope=full / size,
-            invariant=size == 1,
+            orbit_size=base.degree // pair.order,
+            full_period_slope=boundary_slope(pair.c, pair.order, m.sign),
         ))
 
     tokens: tuple[Token, ...] = (Ext(0, m.sign),) + tuple(
         Rot(o.mark, o.full_period_slope) for o in orbits)
-    word = MonodromyWord(tokens)
     return OpenBookDescriptor(
         page_genus=genus(base),
         boundary_orbits=tuple(orbits),
-        monodromy=word,
-        positive_word=word.positive,
+        monodromy=MonodromyWord(tokens),
     )
 
 
@@ -213,13 +220,10 @@ def integral_resolution(d: OpenBookDescriptor) -> OpenBookDescriptor:
         if o.per_period_slope == 0:
             new_orbits.append(o)
             continue
-        p = o.full_period_slope.denominator
         new_orbits.append(BoundaryOrbit(
             mark=o.mark,
-            orbit_size=p,
+            orbit_size=o.full_period_slope.denominator,
             full_period_slope=Fraction(0),
-            per_period_slope=Fraction(0),
-            invariant=p == 1,
         ))
 
     rotating_marks = {o.mark for o in rotating}
@@ -233,12 +237,10 @@ def integral_resolution(d: OpenBookDescriptor) -> OpenBookDescriptor:
         p = o.full_period_slope.denominator
         tokens.extend(Twist(f"resolve[{o.mark}.{copy}]", -1, orbit=o.mark)
                       for copy in range(1, p + 1))
-    word = MonodromyWord(tuple(tokens))
     return OpenBookDescriptor(
         page_genus=d.page_genus,
         boundary_orbits=tuple(new_orbits),
-        monodromy=word,
-        positive_word=word.positive,
+        monodromy=MonodromyWord(tuple(tokens)),
     )
 
 

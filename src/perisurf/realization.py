@@ -46,17 +46,20 @@ class PolygonPresentation:
     """A polygon with paired sides and a rotation acting on it.
 
     ``pairing[i-1]`` is the 1-based partner of side ``i``; every side is
-    glued to its partner with reversed orientation.  ``rotation_step`` is
-    the index shift realizing the rotation.  ``outside_theorem`` flags
-    inputs of genus < 2, where the polygon model is emitted on a
-    best-effort basis.
+    glued to its partner with reversed orientation, and ``sides`` is the
+    pairing's length.  ``rotation_step`` is the index shift realizing the
+    rotation.  ``outside_theorem`` flags inputs of genus < 2, where the
+    polygon model is emitted on a best-effort basis.
     """
 
-    sides: int
     pairing: tuple[int, ...]
     rotation_step: int
     degree: int
     outside_theorem: bool = False
+
+    @property
+    def sides(self) -> int:
+        return len(self.pairing)
 
 
 @dataclass(frozen=True)
@@ -97,19 +100,12 @@ def polygon_realization(d: DataSet) -> PolygonPresentation:
     if not report.valid:
         raise ValueError(f"cannot realize an invalid data set: "
                          f"{'; '.join(t for _, t in report.violations)}")
-    return _polygon(canon, genus(canon))
-
-
-def _polygon(canon: DataSet, g: int) -> PolygonPresentation:
-    # the polygon of a canonical, valid, irreducible type 1 data set of
-    # surface genus g; callers that already know all that skip the guards
     n, k, z_offset, rotation_step = _polygon_shape(canon)
     return PolygonPresentation(
-        sides=k,
         pairing=_pairing(n, k, z_offset),
         rotation_step=rotation_step,
         degree=n,
-        outside_theorem=g < 2,
+        outside_theorem=genus(canon) < 2,
     )
 
 
@@ -150,10 +146,9 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
 
     Raises ``ValueError`` only when the data set has no surface genus, that
     is when :func:`perisurf.core.genus` of it is not a non-negative integer;
-    no presentation makes it raise.  A presentation with no sides, with a
-    pairing that is not a tuple or list or whose length is not the side
-    count, or with a side count, rotation step or pairing entry that is not
-    an ``int``, fails both checks and has no Euler genus.
+    no presentation makes it raise.  A presentation whose pairing is not a
+    non-empty tuple or list of ``int``, or whose rotation step is not an
+    ``int``, fails both checks and has no Euler genus.
 
     The genus of the identified polygon is recomputed from scratch: the
     vertices are counted as the cycles of a permutation of the corners, and
@@ -163,12 +158,10 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
     % sides``, and that map is a permutation, so its cycles are the vertex
     classes.
     """
-    k = p.sides
     pairing = p.pairing
-    if not (isinstance(k, int) and isinstance(p.rotation_step, int)
-            and k >= 1 and isinstance(pairing, (tuple, list))
-            and len(pairing) == k
-            and all(map(isinstance, pairing, repeat(int)))):
+    if not (isinstance(pairing, (tuple, list)) and pairing
+            and all(map(isinstance, pairing, repeat(int)))
+            and isinstance(p.rotation_step, int)):
         # no polygon to glue: a pairing must name one partner per side
         return RealizationReport(None, genus(d), False, False)
     involution_ok, euler_genus = _pairing_checks(pairing)

@@ -294,7 +294,7 @@ def test_census_class_filter(monkeypatch):
 
 
 def test_polygon_flags_equal_the_public_verifier():
-    # the census checks each distinct pairing once; every irreducible record
+    # the census checks each polygon shape once; every irreducible record
     # still reads what the public verifier says of its own polygon
     for g in range(2, 13):
         irreducible = [r for r in census(CensusQuery(genus=g))
@@ -319,7 +319,7 @@ def test_polygon_checks_are_shared_only_within_one_rotation_subgroup(
     first, second = [r.data_set for r in census(query)
                      if r.action_class == "type1-irreducible"][:2]
     n, k, z_offset, step = shape(first)
-    shared = realization_module._polygon(first, 3)
+    shared = polygon_realization(first)
     bad = next(s for s in range(k)
                if not verify_realization(replace(shared, rotation_step=s),
                                          second).equivariance_ok)

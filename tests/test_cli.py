@@ -225,6 +225,25 @@ def test_assemble_from_file_and_stdin(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["assemble", "fill"])
+@pytest.mark.parametrize("extra", [
+    [HEX_MINUS, "--edge", "(1:1)~(2:2)"],
+    ["X"],
+    ["--self-edge", "(1:1)~(2:1)"],
+])
+def test_file_takes_no_pieces_or_edges(tmp_path, capsys, command, extra):
+    # the file alone is a valid assembly, so the usage error comes from what
+    # is given beside it
+    pieces = (parse_data_set(HEX_PLUS), parse_data_set(PIECE_B))
+    path = tmp_path / "assembly.json"
+    path.write_text(json.dumps(assembly_to_json(
+        Assembly(pieces, (build_edge(pieces, (0, 3), (1, 3)),)))))
+    assert run([command, "--file", str(path)], capsys)[0] == 0
+    code, out, err = run([command, *extra, "--file", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "argument --file: not allowed with pieces or edges" in err
+
+
+@pytest.mark.parametrize("command", ["assemble", "fill"])
 def test_file_assembly_slots_are_integers(tmp_path, capsys, command):
     # truncated, the float cone indices make the valid self edge (0, 1, 2)
     path = tmp_path / "assembly.json"

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from perisurf.core import (
     DataSet,
     MarkedDataSet,
     ParseError,
+    ValidationReport,
     _lcm_violations,
     canonicalize,
     canonicalize_marked,
@@ -95,6 +98,12 @@ def test_genus_ignores_residue_conditions():
 
 
 # --- validate ---------------------------------------------------------------
+
+def test_validation_report_is_valid_without_violations():
+    assert ValidationReport().valid
+    assert not ValidationReport(violations=(("v", "detail"),)).valid
+    assert [f.name for f in fields(ValidationReport)] == ["violations"]
+
 
 def test_validate_accepts_known_good_sets():
     for text in [

@@ -164,10 +164,11 @@ def test_positive_word_requires_positive_word():
 
 def test_positive_word_integral_slope_is_strong_only():
     d = OpenBookDescriptor(
-        1,
-        (BoundaryOrbit(1, 1, Fraction(3), Fraction(3), True),),
-        (Ext(0),),
-        True,
+        page_genus=1,
+        boundary_orbits=(
+            BoundaryOrbit(mark=1, orbit_size=1, full_period_slope=Fraction(3)),
+        ),
+        monodromy=(Ext(0),),
     )
     v = classify_positive_word(d)
     assert v.verdict == "StronglyFillable"
@@ -176,11 +177,13 @@ def test_positive_word_integral_slope_is_strong_only():
 
 def test_positive_word_flat_orbit_is_unknown():
     d = OpenBookDescriptor(
-        1,
-        (BoundaryOrbit(1, 1, Fraction(0), Fraction(0), True),
-         BoundaryOrbit(2, 1, Fraction(1, 2), Fraction(1, 2), True)),
-        (Ext(0),),
-        True,
+        page_genus=1,
+        boundary_orbits=(
+            BoundaryOrbit(mark=1, orbit_size=1, full_period_slope=Fraction(0)),
+            BoundaryOrbit(mark=2, orbit_size=1,
+                          full_period_slope=Fraction(1, 2)),
+        ),
+        monodromy=(Ext(0),),
     )
     v = classify_positive_word(d)
     assert v.verdict == "Unknown"

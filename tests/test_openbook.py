@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,43 @@ def test_fdtc_requires_invariant_boundary():
         fractional_dehn_twist(m, 4)  # no such cone
 
 
+def test_boundary_orbit_derives_invariance_and_per_period_slope():
+    shared = BoundaryOrbit(mark=1, orbit_size=2, full_period_slope=F(1, 3))
+    assert shared.per_period_slope == F(1, 6)
+    assert not shared.invariant and shared.fdtc is None
+    single = BoundaryOrbit(mark=2, orbit_size=1, full_period_slope=F(-1, 5))
+    assert single.per_period_slope == F(-1, 5)
+    assert single.invariant and single.fdtc == F(-1, 5)
+    assert [f.name for f in fields(BoundaryOrbit)] == [
+        "mark", "orbit_size", "full_period_slope"]
+
+
+def test_cached_per_period_slope_leaves_equality_hash_and_repr():
+    read = BoundaryOrbit(mark=3, orbit_size=6, full_period_slope=F(-1, 1))
+    unread = BoundaryOrbit(mark=3, orbit_size=6, full_period_slope=F(-1, 1))
+    before = (hash(read), repr(read))
+    assert read.per_period_slope is read.per_period_slope == F(-1, 6)
+    assert read == unread
+    assert (hash(read), repr(read)) == before == (hash(unread), repr(unread))
+    with pytest.raises(AttributeError):
+        read.per_period_slope = F(0)
+
+
+def test_positive_word_is_read_from_the_word():
+    # the words of the descriptors built by hand in the veering-mixed and
+    # single-puncture-disk tests
+    orbit = BoundaryOrbit(mark=1, orbit_size=1, full_period_slope=F(-1, 1))
+    for word in ((Ext(0),), (Ext(0), Rot(1, F(-1, 1)))):
+        d = OpenBookDescriptor(page_genus=0, boundary_orbits=(orbit,),
+                               monodromy=word)
+        assert d.positive_word
+    for word in ((Ext(0, "-"),), (Ext(0), Twist("a", 0))):
+        assert not OpenBookDescriptor(page_genus=0, boundary_orbits=(orbit,),
+                                      monodromy=word).positive_word
+    assert [f.name for f in fields(OpenBookDescriptor)] == [
+        "page_genus", "boundary_orbits", "monodromy"]
+
+
 def test_page_descriptor_rejects_bad_marks():
     for marks, message in [("[]", "marked data set has no marks"),
                            ("[3,3]", "mark indices must be distinct"),
@@ -107,14 +145,14 @@ def test_veering_mixed_and_empty():
     mixed = OpenBookDescriptor(
         page_genus=1,
         boundary_orbits=(
-            BoundaryOrbit(1, 1, F(1, 3), F(1, 3), True),
-            BoundaryOrbit(2, 1, F(-1, 3), F(-1, 3), True),
+            BoundaryOrbit(mark=1, orbit_size=1, full_period_slope=F(1, 3)),
+            BoundaryOrbit(mark=2, orbit_size=1, full_period_slope=F(-1, 3)),
         ),
         monodromy=(Ext(0),),
-        positive_word=False,
     )
     assert veering(mixed) is Veering.MIXED
-    closed = OpenBookDescriptor(1, (), (Ext(0),), True)
+    closed = OpenBookDescriptor(page_genus=1, boundary_orbits=(),
+                                monodromy=(Ext(0),))
     with pytest.raises(ValueError):
         veering(closed)
 
@@ -122,10 +160,9 @@ def test_veering_mixed_and_empty():
 def test_veering_counts_boundary_parallel_twists():
     base = page_descriptor(ds("(6_-,0;(1,2),(2,3),(5,6),[3])"))
     pushed = OpenBookDescriptor(
-        base.page_genus,
-        base.boundary_orbits,
-        base.monodromy.tokens + (Twist("extra", 1, orbit=3),),
-        positive_word=False,
+        page_genus=base.page_genus,
+        boundary_orbits=base.boundary_orbits,
+        monodromy=base.monodromy.tokens + (Twist("extra", 1, orbit=3),),
     )
     # -1/6 + 1/1 > 0 once a full positive boundary twist is appended
     assert veering(pushed) is Veering.RIGHT
@@ -150,11 +187,12 @@ def test_surgery_rational_entries():
 
 def test_surgery_degenerate_kinds():
     flat = OpenBookDescriptor(
-        1,
-        (BoundaryOrbit(1, 1, F(0), F(0), True),
-         BoundaryOrbit(2, 1, F(3), F(3), True)),
-        (Ext(0),),
-        True,
+        page_genus=1,
+        boundary_orbits=(
+            BoundaryOrbit(mark=1, orbit_size=1, full_period_slope=F(0)),
+            BoundaryOrbit(mark=2, orbit_size=1, full_period_slope=F(3)),
+        ),
+        monodromy=(Ext(0),),
     )
     kinds = {e.orbit: e.kind for e in surgery_description(flat).entries}
     assert kinds == {1: "none", 2: "integral"}
@@ -222,10 +260,11 @@ def test_integral_resolution_rejects_other_slopes():
 
 def test_integral_resolution_single_puncture_disk():
     d = OpenBookDescriptor(
-        0,
-        (BoundaryOrbit(1, 1, F(-1, 1), F(-1, 1), True),),
-        (Ext(0), Rot(1, F(-1, 1))),
-        False,
+        page_genus=0,
+        boundary_orbits=(
+            BoundaryOrbit(mark=1, orbit_size=1, full_period_slope=F(-1, 1)),
+        ),
+        monodromy=(Ext(0), Rot(1, F(-1, 1))),
     )
     resolved = integral_resolution(d)
     (orbit,) = resolved.boundary_orbits
@@ -236,16 +275,19 @@ def test_integral_resolution_single_puncture_disk():
 
 def test_integral_resolution_keeps_orbits_that_do_not_turn():
     # a hand-built descriptor: no marked data set has an orbit of slope 0
-    still = BoundaryOrbit(1, 2, F(0), F(0), False)
+    still = BoundaryOrbit(mark=1, orbit_size=2, full_period_slope=F(0))
     d = OpenBookDescriptor(
-        0,
-        (still, BoundaryOrbit(2, 1, F(-1, 3), F(-1, 3), True)),
-        (Ext(0, "-"), Rot(1, F(0)), Rot(2, F(-1, 3))),
-        False,
+        page_genus=0,
+        boundary_orbits=(
+            still,
+            BoundaryOrbit(mark=2, orbit_size=1, full_period_slope=F(-1, 3)),
+        ),
+        monodromy=(Ext(0, "-"), Rot(1, F(0)), Rot(2, F(-1, 3))),
     )
     resolved = integral_resolution(d)
     assert resolved.boundary_orbits[0] is still
-    assert resolved.boundary_orbits[1] == BoundaryOrbit(2, 3, F(0), F(0), False)
+    assert resolved.boundary_orbits[1] == BoundaryOrbit(
+        mark=2, orbit_size=3, full_period_slope=F(0))
     assert [t.orbit for t in resolved.monodromy.twists()] == [2, 2, 2]
     assert resolved.monodromy.tokens[:3] == (Ext(0, "-"), Rot(1, F(0)),
                                              Rot(2, F(0)))
@@ -253,10 +295,11 @@ def test_integral_resolution_keeps_orbits_that_do_not_turn():
 
 def test_integral_resolution_noop_without_rotation():
     d = OpenBookDescriptor(
-        2,
-        (BoundaryOrbit(1, 3, F(0), F(0), False),),
-        (Ext(0), Twist("a", 2)),
-        True,
+        page_genus=2,
+        boundary_orbits=(
+            BoundaryOrbit(mark=1, orbit_size=3, full_period_slope=F(0)),
+        ),
+        monodromy=(Ext(0), Twist("a", 2)),
     )
     assert integral_resolution(d) == d
 

@@ -257,20 +257,48 @@ def test_condition_stream_matches_reference_verifier(p, q, K, H, peak,
             == repr(_reference_binding_deviation(pp)))
 
 
+# The outcomes of reference._reference_search on the inputs of the two
+# reference comparisons below are pinned in search_golden.json, which the
+# same command regenerates.
+SEARCH_GOLDEN = Path(__file__).with_name("search_golden.json")
+SEARCH_BUDGETS = (1, 37, 300, 1000)
+SEARCH_SLOPES = [(p, q) for p in (*range(1, 10), *range(-9, 0))
+                 for q in range(-27, 19) if math.gcd(abs(p), abs(q)) == 1]
+# slopes p < q < 2p, whose shapes all fail on the binding arc
+ARC_SLOPES = ((2, 3), (7, 12), (9, 17))
+ARC_TOLERANCES = (0.25, math.nan)
+
+
+def _pinned(outcomes: list) -> dict:
+    """The number of ``outcomes`` and the sha256 of their ``repr``."""
+    return {"outcomes": len(outcomes),
+            "sha256": hashlib.sha256(repr(outcomes).encode()).hexdigest()}
+
+
+def _reference_search_outcomes() -> dict:
+    """What the reference search gives on the inputs of the comparisons."""
+    budgets = []
+    for p, q in SEARCH_SLOPES:
+        want, accepted_at = _reference_search(
+            p, q, candidates=max(SEARCH_BUDGETS), samples=64)
+        budgets += [want if accepted_at <= budget else None
+                    for budget in SEARCH_BUDGETS]
+    return {"budgets": _pinned(budgets), **{
+        f"binding_arc[{tolerance}]": _pinned([
+            _reference_search(p, q, samples=256, tolerance=tolerance)[0]
+            for p, q in ARC_SLOPES])
+        for tolerance in ARC_TOLERANCES}}
+
+
 def test_search_matches_reference_search():
     # the coarsest grid verification accepts keeps the reference affordable;
     # every candidate decision is the one of the reference verifier, whose
     # equivalence on all three grid sizes is the test above
-    budgets = (1, 37, 300, 1000)
-    slopes = [(p, q) for p in (*range(1, 10), *range(-9, 0))
-              for q in range(-27, 19) if math.gcd(abs(p), abs(q)) == 1]
-    for p, q in slopes:
-        want, accepted_at = _reference_search(p, q, candidates=max(budgets),
-                                              samples=64)
-        for budget in budgets:
-            got = search_profiles(p, q, candidates=budget, samples=64)
-            expected = want if accepted_at <= budget else None
-            assert repr(got) == repr(expected), (p, q, budget)
+    outcomes = [search_profiles(p, q, candidates=budget, samples=64)
+                for p, q in SEARCH_SLOPES for budget in SEARCH_BUDGETS]
+    assert len(outcomes) == 2136
+    golden = json.loads(SEARCH_GOLDEN.read_text())
+    assert _pinned(outcomes) == golden["budgets"]
 
 
 def test_search_decides_each_binding_arc_once(monkeypatch):
@@ -288,15 +316,14 @@ def test_search_decides_each_binding_arc_once(monkeypatch):
     assert 1 <= len(built) <= 10
 
 
-@pytest.mark.parametrize("tolerance", [0.25, math.nan])
+@pytest.mark.parametrize("tolerance", ARC_TOLERANCES)
 def test_binding_arc_pruning_matches_reference_search(tolerance):
-    # slopes p < q < 2p, whose shapes all fail on the binding arc; a wide
-    # tolerance moves the first definite violation deeper into the arc and
-    # NaN makes every check definite
-    for p, q in ((2, 3), (7, 12), (9, 17)):
-        want, _ = _reference_search(p, q, samples=256, tolerance=tolerance)
-        got = search_profiles(p, q, samples=256, tolerance=tolerance)
-        assert repr(got) == repr(want), (p, q)
+    # a wide tolerance moves the first definite violation deeper into the
+    # binding arc and NaN makes every check definite
+    outcomes = [search_profiles(p, q, samples=256, tolerance=tolerance)
+                for p, q in ARC_SLOPES]
+    golden = json.loads(SEARCH_GOLDEN.read_text())
+    assert _pinned(outcomes) == golden[f"binding_arc[{tolerance}]"]
 
 
 def test_profile_sweep_script_maps_the_feasible_region(capsys, monkeypatch):
@@ -316,3 +343,6 @@ if __name__ == "__main__":
     TWIST_COUNT_GOLDEN.write_text(json.dumps(
         _twist_count_outcomes(_default_twist_count_by_scan), indent=1) + "\n")
     print(f"scan outcomes written to {TWIST_COUNT_GOLDEN}", file=sys.stderr)
+    SEARCH_GOLDEN.write_text(json.dumps(
+        _reference_search_outcomes(), indent=1) + "\n")
+    print(f"search outcomes written to {SEARCH_GOLDEN}", file=sys.stderr)

@@ -33,6 +33,13 @@ def test_ten_gon():
     assert report.ok
 
 
+def test_side_count_is_the_length_of_the_pairing():
+    p = PolygonPresentation(pairing=(3, 4, 1, 2), rotation_step=2, degree=2)
+    assert p.sides == 4
+    assert [f.name for f in dataclasses.fields(PolygonPresentation)] == [
+        "pairing", "rotation_step", "degree", "outside_theorem"]
+
+
 def test_hexagon_opposite_sides():
     d = ds("(6,0;(1,2),(1,3),(1,6))")
     p = polygon_realization(d)
@@ -90,7 +97,9 @@ _PENTAGON = ds("(5,0;(1,5),(1,5),(3,5))")
 ])
 def test_involution_failing_only_at_the_first_side(pairing):
     # only side 1 breaks the involution; rotation step 0 keeps equivariance
-    report = verify_realization(PolygonPresentation(5, pairing, 0, 5), _PENTAGON)
+    report = verify_realization(
+        PolygonPresentation(pairing=pairing, rotation_step=0, degree=5),
+        _PENTAGON)
     assert not report.involution_ok
     assert report.equivariance_ok
     assert report.euler_genus is None
@@ -103,7 +112,9 @@ def test_involution_failing_only_at_the_first_side(pairing):
     (2, 1, 4, 3, 6),
 ])
 def test_involution_failing_only_at_the_last_side(pairing):
-    report = verify_realization(PolygonPresentation(5, pairing, 0, 5), _PENTAGON)
+    report = verify_realization(
+        PolygonPresentation(pairing=pairing, rotation_step=0, degree=5),
+        _PENTAGON)
     assert not report.involution_ok
     assert report.equivariance_ok
     assert report.euler_genus is None
@@ -124,23 +135,25 @@ def test_equivariance_failing_at_the_first_or_last_index(pairing, step):
     failing = [i for i in range(k) if (pairing[(i + step) % k] - 1) % k
                != (pairing[i] - 1 + step) % k]
     assert len(failing) == 2 and (failing[0] == 0 or failing[-1] == k - 1)
-    report = verify_realization(PolygonPresentation(k, pairing, step, k),
-                                _PENTAGON)
+    report = verify_realization(
+        PolygonPresentation(pairing=pairing, rotation_step=step, degree=k),
+        _PENTAGON)
     assert not report.equivariance_ok
     assert not report.ok
 
 
 @pytest.mark.parametrize("presentation", [
-    PolygonPresentation(0, (), 0, 5),        # no sides to take a step mod
-    PolygonPresentation(4, (2, 1), 0, 5),    # pairing shorter than the sides
-    PolygonPresentation(-2, (), 1, 5),
-    PolygonPresentation(2, (2, 1, 3), 0, 5),  # pairing longer than the sides
-    PolygonPresentation(2, ("a", "b"), 0, 5),  # pairing entries not ints
-    PolygonPresentation(2, (7.5, 1), 0, 5),    # one out of range, not an int
-    PolygonPresentation(2, (2, 1), 0.5, 5),    # rotation step not an int
-    PolygonPresentation(2.0, (2, 1), 0, 5),    # side count not an int
-    PolygonPresentation(2, None, 0, 5),        # pairing not a sequence
-    PolygonPresentation(2, 7, 0, 5),
+    # no sides to take a step mod
+    PolygonPresentation(pairing=(), rotation_step=0, degree=5),
+    # pairing entries not ints
+    PolygonPresentation(pairing=("a", "b"), rotation_step=0, degree=5),
+    # one out of range, not an int
+    PolygonPresentation(pairing=(7.5, 1), rotation_step=0, degree=5),
+    # rotation step not an int
+    PolygonPresentation(pairing=(2, 1), rotation_step=0.5, degree=5),
+    # pairing not a sequence
+    PolygonPresentation(pairing=None, rotation_step=0, degree=5),
+    PolygonPresentation(pairing=7, rotation_step=0, degree=5),
 ])
 def test_inconsistent_presentation_fails_without_raising(presentation):
     report = verify_realization(presentation, _PENTAGON)
@@ -154,7 +167,8 @@ def test_inconsistent_presentation_fails_without_raising(presentation):
 def test_data_set_without_a_genus_raises_value_error():
     # the one exception verify_realization raises: genus() of the data set
     with pytest.raises(ValueError, match="not a non-negative integer"):
-        verify_realization(PolygonPresentation(2, (2, 1), 0, 5),
+        verify_realization(PolygonPresentation(pairing=(2, 1),
+                                               rotation_step=0, degree=5),
                            parse_data_set("(5,0;(1,5))"))
 
 
@@ -185,8 +199,7 @@ def _involution(order):
 @given(_involutions)
 def test_vertex_cycles_match_union_find(order):
     pairing = _involution(order)
-    p = PolygonPresentation(sides=len(order), pairing=pairing,
-                            rotation_step=0, degree=1)
+    p = PolygonPresentation(pairing=pairing, rotation_step=0, degree=1)
     report = verify_realization(p, ds("(5,0;(1,5),(1,5),(3,5))"))
     assert report.involution_ok
     assert report.euler_genus == _euler_genus_by_union_find(pairing)
