@@ -16,8 +16,9 @@ stopping at the first.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -336,7 +337,8 @@ def canonicalize(d: DataSet) -> tuple[DataSet, tuple[int, ...]]:
     pairs = d.cone_pairs
     order = sorted(range(len(pairs)), key=lambda i: (pairs[i].order, pairs[i].c))
     perm = tuple(i + 1 for i in order)
-    canon = replace(d, cone_pairs=tuple(pairs[i] for i in order))
+    canon = DataSet(d.degree, d.quotient_genus, d.rotation,
+                    tuple(pairs[i] for i in order))
     return canon, perm
 
 
@@ -370,6 +372,13 @@ def canonicalize_marked(m: MarkedDataSet) -> tuple[MarkedDataSet, tuple[int, ...
 # A data set holds at most 10^6 cone pairs, repeats included.  A pair that
 # would pass that total is a parse error, at the position of k when it
 # carries a "×k", raised before the pair is repeated.
+#
+# The text is read in one pass as a list of tokens: a run of decimal digits
+# (str.isdecimal, any script) or one character that is not whitespace
+# (str.isspace).  The grammar walks that list by index.  An error's
+# position is a character position in the text, found from the token spans
+# only when the error is raised, and is the same as a character-by-character
+# reading gives.
 
 
 class ParseError(ValueError):
@@ -378,55 +387,44 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str) -> None:
-        if not self.take(ch):
-            got = self.peek() or "end of input"
-            raise ParseError(f"expected {ch!r}, found {got!r}", self.pos)
-
-    def number(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            got = self.peek() or "end of input"
-            raise ParseError(f"expected a number, found {got!r}", self.pos)
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # more digits than int() converts from text
-            raise ParseError(f"a number of {self.pos - start} digits is too "
-                             "long", start) from None
-
-    def build(self, cls, *args):
-        """Construct ``cls(*args)``; its structural errors become parse
-        errors at the current position."""
-        try:
-            return cls(*args)
-        except (ValueError, TypeError) as e:
-            raise ParseError(str(e), self.pos) from None
-
-
+_TOKEN = re.compile(r"\d+|\S")
 _DASHES = ("-", "−")
 _MAX_CONE_PAIRS = 10**6
+
+
+def _error(text: str, message: str, i: int, end: bool = False) -> ParseError:
+    """The error at token ``i`` of ``text``: at its start, or its end with
+    ``end``; past the last token, at ``len(text)``."""
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == i:
+            return ParseError(message, m.end() if end else m.start())
+    return ParseError(message, len(text))
+
+
+def _expected(text: str, toks: list[str], i: int, what: str) -> ParseError:
+    # a token is one character or a run of digits; name its first character
+    got = toks[i][:1] or "end of input"
+    return _error(text, f"expected {what}, found {got!r}", i)
+
+
+def _number(text: str, toks: list[str], i: int) -> int:
+    tok = toks[i]
+    if not tok.isdecimal():
+        raise _expected(text, toks, i, "a number")
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts from text
+        raise _error(text, f"a number of {len(tok)} digits is too long",
+                     i) from None
+
+
+def _build(text: str, cls, *args):
+    """Construct ``cls(*args)``; its structural errors become parse errors
+    at the end of the text."""
+    try:
+        return cls(*args)
+    except (ValueError, TypeError) as e:
+        raise ParseError(str(e), len(text)) from None
 
 
 def parse_data_set(text: str) -> DataSet | MarkedDataSet:
@@ -435,88 +433,120 @@ def parse_data_set(text: str) -> DataSet | MarkedDataSet:
     Only the grammar is enforced here — semantic conditions are left to
     :func:`validate`.  The constructors' structural checks (a zero degree,
     cone order or mark index) surface as :class:`ParseError` as well.
+
+    The text's tokens are read in one pass (see the grammar comment above);
+    each error has the message and position that a character-by-character
+    reading gives.
     """
-    cur = _Cursor(text)
-    cur.expect("(")
-    degree = cur.number()
+    toks = _TOKEN.findall(text) + [""]
+    if toks[0] != "(":
+        raise _expected(text, toks, 0, "'('")
+    degree = _number(text, toks, 1)
+    i = 2
     sign = None
-    if cur.take("_"):
-        if cur.take("+"):
+    tok = toks[i]
+    if tok == "_":
+        tok = toks[i + 1]
+        if tok == "+":
             sign = "+"
-        elif cur.peek() in _DASHES:
-            cur.pos += 1
+        elif tok in _DASHES:
             sign = "-"
         else:
-            raise ParseError("expected '+' or '-' after '_'", cur.pos)
-    elif cur.take("₊"):
+            raise _error(text, "expected '+' or '-' after '_'", i + 1)
+        i += 2
+    elif tok == "₊":
         sign = "+"
-    elif cur.take("₋"):
+        i += 1
+    elif tok == "₋":
         sign = "-"
-    cur.expect(",")
-    g0 = cur.number()
+        i += 1
+    if toks[i] != ",":
+        raise _expected(text, toks, i, "','")
+    g0 = _number(text, toks, i + 1)
+    i += 2
 
     rotation = 0
-    if cur.take(";"):
-        pass
-    elif cur.take(","):
-        if cur.peek().isdecimal():
-            rotation = cur.number()
-            if not (cur.take(";") or cur.take(",")):
-                raise ParseError("expected ';' before the cone pairs", cur.pos)
+    tok = toks[i]
+    if tok == ";":
+        i += 1
+    elif tok == ",":
+        i += 1
+        if toks[i].isdecimal():
+            rotation = _number(text, toks, i)
+            i += 1
+            if toks[i] not in (";", ","):
+                raise _error(text, "expected ';' before the cone pairs", i)
+            i += 1
         # otherwise the comma already separated the preamble from the body
     else:
-        raise ParseError("expected ';' after the preamble", cur.pos)
+        raise _error(text, "expected ';' after the preamble", i)
 
     pairs: list[ConePair] = []
     marks: tuple[int, ...] | None = None
-    if cur.peek() in _DASHES:
-        cur.pos += 1
-        if cur.take(",") and cur.peek() != "[":
-            raise ParseError("expected a marks list after ','", cur.pos)
+    if toks[i] in _DASHES:
+        i += 1
+        if toks[i] == ",":
+            i += 1
+            if toks[i] != "[":
+                raise _error(text, "expected a marks list after ','", i)
     else:
-        while True:
-            if cur.peek() == "[":
-                break
-            cur.expect("(")
-            c = cur.number()
-            cur.expect(",")
-            order = cur.number()
-            cur.expect(")")
-            count, at = 1, cur.pos
-            if cur.peek() in ("×", "x"):
-                cur.pos += 1
-                cur.skip_ws()
-                at = cur.pos
-                count = cur.number()
+        while toks[i] != "[":
+            if toks[i] != "(":
+                raise _expected(text, toks, i, "'('")
+            c = _number(text, toks, i + 1)
+            if toks[i + 2] != ",":
+                raise _expected(text, toks, i + 2, "','")
+            order = _number(text, toks, i + 3)
+            if toks[i + 4] != ")":
+                raise _expected(text, toks, i + 4, "')'")
+            i += 5
+            count, repeated = 1, toks[i] in ("×", "x")
+            if repeated:
+                count = _number(text, toks, i + 1)
+                i += 2
                 if count < 1:
-                    raise ParseError("repeat count must be positive", cur.pos)
+                    raise _error(text, "repeat count must be positive",
+                                 i - 1, end=True)
             if len(pairs) + count > _MAX_CONE_PAIRS:
-                raise ParseError(f"more than {_MAX_CONE_PAIRS} cone pairs", at)
-            pairs.extend([cur.build(ConePair, c, order)] * count)
-            if not cur.take(","):
+                # at k of a "×k", else just past the ")"
+                raise _error(text, f"more than {_MAX_CONE_PAIRS} cone pairs",
+                             i - 1, end=not repeated)
+            try:
+                pair = ConePair(c, order)
+            except (ValueError, TypeError) as e:
+                # just past a "×k", else at the next token
+                raise (_error(text, str(e), i - 1, end=True) if repeated
+                       else _error(text, str(e), i)) from None
+            pairs.extend([pair] * count)
+            if toks[i] != ",":
                 break
-    if cur.peek() == "[":
-        cur.expect("[")
+            i += 1
+    if toks[i] == "[":
+        i += 1
         idxs: list[int] = []
-        if cur.peek() != "]":
-            idxs.append(cur.number())
-            while cur.take(","):
-                idxs.append(cur.number())
-        cur.expect("]")
+        if toks[i] != "]":
+            idxs.append(_number(text, toks, i))
+            i += 1
+            while toks[i] == ",":
+                idxs.append(_number(text, toks, i + 1))
+                i += 2
+        if toks[i] != "]":
+            raise _expected(text, toks, i, "']'")
+        i += 1
         marks = tuple(idxs)
-    cur.expect(")")
-    cur.skip_ws()
-    if cur.pos != len(cur.text):
-        raise ParseError("unexpected trailing text", cur.pos)
+    if toks[i] != ")":
+        raise _expected(text, toks, i, "')'")
+    if toks[i + 1]:
+        raise _error(text, "unexpected trailing text", i + 1)
 
-    base = cur.build(DataSet, degree, g0, rotation, tuple(pairs))
+    base = _build(text, DataSet, degree, g0, rotation, tuple(pairs))
     if sign is None and marks is None:
         return base
     if sign is None:
         raise ParseError("a marks list requires a sign on the degree", 0)
     if marks is None:
         raise ParseError("a sign on the degree requires a marks list", 0)
-    return cur.build(MarkedDataSet, base, sign, marks)
+    return _build(text, MarkedDataSet, base, sign, marks)
 
 
 def format_data_set(d: DataSet | MarkedDataSet) -> str:

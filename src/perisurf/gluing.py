@@ -216,8 +216,9 @@ def boundary_slope(c: int, order: int, sign: str) -> Fraction:
     Positive markings rotate by ``c^{-1}/order`` turns, negative ones by the
     representative one turn down.
     """
-    slope = Fraction(mod_inverse(c, order), order)
-    return slope if sign == "+" else slope - 1
+    u = mod_inverse(c, order)
+    # one turn down is (u - order)/order, in lowest terms as u/order is
+    return Fraction(u if sign == "+" else u - order, order)
 
 
 # --- assemblies --------------------------------------------------------------

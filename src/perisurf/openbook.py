@@ -46,6 +46,8 @@ class BoundaryOrbit:
 
     @cached_property
     def per_period_slope(self) -> Fraction:
+        if self.orbit_size == 1:
+            return self.full_period_slope
         return self.full_period_slope / self.orbit_size
 
     @property
@@ -134,8 +136,10 @@ def veering(d: OpenBookDescriptor) -> Veering:
     for t in d.monodromy.twists():
         if t.orbit is not None:
             parallel[t.orbit] = parallel.get(t.orbit, 0) + t.power
+    # only an orbit the word twists adds a term; page descriptors twist none
     effective = [
-        o.per_period_slope + Fraction(parallel.get(o.mark, 0), o.orbit_size)
+        o.per_period_slope + Fraction(parallel[o.mark], o.orbit_size)
+        if o.mark in parallel else o.per_period_slope
         for o in d.boundary_orbits
     ]
     if all(e >= 0 for e in effective):

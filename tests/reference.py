@@ -9,6 +9,14 @@ from itertools import combinations_with_replacement, product
 from math import lcm
 
 from perisurf.census import _units
+from perisurf.core import (
+    _DASHES,
+    _MAX_CONE_PAIRS,
+    ConePair,
+    DataSet,
+    MarkedDataSet,
+    ParseError,
+)
 from perisurf.profiles import (
     _BINDING_END,
     _COLLAR_START,
@@ -74,6 +82,148 @@ def _lcm_violations_leave_one_out(n, g0, orders):
         out.append(("iv", f"with quotient genus 0 the lcm of the cone orders "
                           f"must equal the degree, got {full}"))
     return out
+
+
+# core.parse_data_set walks a list of tokens and finds an error's position
+# from the token spans only when it raises; this is the character cursor it
+# replaced.
+
+
+class _Cursor:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch: str) -> None:
+        if not self.take(ch):
+            got = self.peek() or "end of input"
+            raise ParseError(f"expected {ch!r}, found {got!r}", self.pos)
+
+    def number(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            got = self.peek() or "end of input"
+            raise ParseError(f"expected a number, found {got!r}", self.pos)
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts from text
+            raise ParseError(f"a number of {self.pos - start} digits is too "
+                             "long", start) from None
+
+    def build(self, cls, *args):
+        """Construct ``cls(*args)``; its structural errors become parse
+        errors at the current position."""
+        try:
+            return cls(*args)
+        except (ValueError, TypeError) as e:
+            raise ParseError(str(e), self.pos) from None
+
+
+def _reference_parse_data_set(text: str) -> DataSet | MarkedDataSet:
+    """Parse the tuple notation; raises :class:`ParseError` with a position.
+
+    Only the grammar is enforced here — semantic conditions are left to
+    :func:`validate`.  The constructors' structural checks (a zero degree,
+    cone order or mark index) surface as :class:`ParseError` as well.
+    """
+    cur = _Cursor(text)
+    cur.expect("(")
+    degree = cur.number()
+    sign = None
+    if cur.take("_"):
+        if cur.take("+"):
+            sign = "+"
+        elif cur.peek() in _DASHES:
+            cur.pos += 1
+            sign = "-"
+        else:
+            raise ParseError("expected '+' or '-' after '_'", cur.pos)
+    elif cur.take("₊"):
+        sign = "+"
+    elif cur.take("₋"):
+        sign = "-"
+    cur.expect(",")
+    g0 = cur.number()
+
+    rotation = 0
+    if cur.take(";"):
+        pass
+    elif cur.take(","):
+        if cur.peek().isdecimal():
+            rotation = cur.number()
+            if not (cur.take(";") or cur.take(",")):
+                raise ParseError("expected ';' before the cone pairs", cur.pos)
+        # otherwise the comma already separated the preamble from the body
+    else:
+        raise ParseError("expected ';' after the preamble", cur.pos)
+
+    pairs: list[ConePair] = []
+    marks: tuple[int, ...] | None = None
+    if cur.peek() in _DASHES:
+        cur.pos += 1
+        if cur.take(",") and cur.peek() != "[":
+            raise ParseError("expected a marks list after ','", cur.pos)
+    else:
+        while True:
+            if cur.peek() == "[":
+                break
+            cur.expect("(")
+            c = cur.number()
+            cur.expect(",")
+            order = cur.number()
+            cur.expect(")")
+            count, at = 1, cur.pos
+            if cur.peek() in ("×", "x"):
+                cur.pos += 1
+                cur.skip_ws()
+                at = cur.pos
+                count = cur.number()
+                if count < 1:
+                    raise ParseError("repeat count must be positive", cur.pos)
+            if len(pairs) + count > _MAX_CONE_PAIRS:
+                raise ParseError(f"more than {_MAX_CONE_PAIRS} cone pairs", at)
+            pairs.extend([cur.build(ConePair, c, order)] * count)
+            if not cur.take(","):
+                break
+    if cur.peek() == "[":
+        cur.expect("[")
+        idxs: list[int] = []
+        if cur.peek() != "]":
+            idxs.append(cur.number())
+            while cur.take(","):
+                idxs.append(cur.number())
+        cur.expect("]")
+        marks = tuple(idxs)
+    cur.expect(")")
+    cur.skip_ws()
+    if cur.pos != len(cur.text):
+        raise ParseError("unexpected trailing text", cur.pos)
+
+    base = cur.build(DataSet, degree, g0, rotation, tuple(pairs))
+    if sign is None and marks is None:
+        return base
+    if sign is None:
+        raise ParseError("a marks list requires a sign on the degree", 0)
+    if marks is None:
+        raise ParseError("a sign on the degree requires a marks list", 0)
+    return cur.build(MarkedDataSet, base, sign, marks)
 
 
 # --- realization -------------------------------------------------------------

@@ -496,6 +496,9 @@ class _Small(IntEnum):
     CensusRecord(DataSet(_Small.TWO, 0, 0, (ConePair(1, 2),)), 1, "type2", None),
     CensusRecord(DataSet(2, 0, 0, (ConePair(1, _Small.TWO),)), 1, "type2", None),
     CensusRecord(DataSet(3, 1, 1), 4, "rotational", None),
+    # a flag or genus equal to a census value but not of its type
+    CensusRecord(DataSet(2, 0, 0, (ConePair(1, 2),) * 4), 1, "type2", 1),
+    CensusRecord(DataSet(2, 0, 0, (ConePair(1, 2),) * 4), True, "type2", None),
 ])
 def test_record_lines_of_unusual_records_equal_json_dumps(record):
     assert _record_line(record) == _file_line(record)

@@ -21,7 +21,7 @@ from perisurf.core import (
     parse_data_set,
     validate,
 )
-from reference import _lcm_violations_leave_one_out
+from reference import _lcm_violations_leave_one_out, _reference_parse_data_set
 
 
 def ds(text):
@@ -405,6 +405,35 @@ def test_parse_raises_only_parse_errors(text):
         parse_data_set(text)
     except ParseError:
         pass
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e), e.position
+
+
+# the token parser gives every value, message and position that the
+# character cursor of tests/reference.py gives
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=_GRAMMAR, max_size=40)
+       | st.text(st.characters(exclude_categories=()), max_size=40)
+       | st.builds(_spliced, (data_sets | marked_sets).map(format_data_set),
+                   st.integers(min_value=0, max_value=40),
+                   st.integers(min_value=0, max_value=3),
+                   st.text(alphabet=_GRAMMAR, max_size=3)))
+@example("(2,0;(1,2)×1000000)")  # the cap on cone pairs
+@example("(2,0;(1,2)×1000000,(1,2))")  # one pair past it
+@example("(2,0;(1,2)×999999,(1,2)×2)")
+@example("(" + "1" * 5000 + ",0;-)")
+@example("(5,0;(1,5)×" + "9" * 5000 + ")")
+@example("(٣,0;-)")
+@example("(5\u2028,0;-)")
+@example("(5\x1c,0;-)")
+def test_parse_matches_reference_parser(text):
+    assert _parsed(parse_data_set, text) == \
+        _parsed(_reference_parse_data_set, text)
 
 
 @given(data_sets | marked_sets)

@@ -136,6 +136,18 @@ def test_search_exhausts_for_negative_p():
     assert search_profiles(-2, -1, candidates=300) is None
 
 
+def test_search_budget_stops_at_the_last_candidate():
+    # (1, 1) misses the corner at K = 1, so its first shape in the corner,
+    # K = 2 and H = 1 at the first peak, is candidate 101; it passes
+    assert search_profiles(1, 1, candidates=100) is None
+    found = search_profiles(1, 1, candidates=101)
+    assert (found.K, found.H) == (2, 1.0)
+    assert found == search_profiles(1, 1)
+    assert _reference_search(1, 1, candidates=100) == (None, 100)
+    pp, tried = _reference_search(1, 1, candidates=101)
+    assert ((pp.K, pp.H), tried) == ((2, 1.0), 101)
+
+
 def test_search_argument_errors():
     with pytest.raises(ValueError):
         search_profiles(0, 1)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from math import gcd
 
 import pytest
@@ -267,3 +268,17 @@ def test_svg_output(tmp_path):
     content = target.read_text()
     assert content.startswith("<svg")
     assert content.count("<path") == 5  # one chord per side pair
+    # the chords' hues, in pairing order, a fifth of the wheel apart
+    assert re.findall(r'stroke="(hsl\([^"]*\))"', content) == [
+        "hsl(0,70%,45%)", "hsl(72,70%,45%)", "hsl(144,70%,45%)",
+        "hsl(216,70%,45%)", "hsl(288,70%,45%)"]
+
+
+def test_svg_hues_round_down(tmp_path):
+    # seven chords split the wheel at multiples of 360/7, rounded down;
+    # a scale of 361 in place of 360 would give 103, 206 and 309
+    target = tmp_path / "fourteengon.svg"
+    draw_polygon_svg(polygon_realization(ds("(7,0;(1,7),(1,7),(5,7))")),
+                     str(target))
+    assert re.findall(r'stroke="hsl\((\d+),', target.read_text()) == [
+        "0", "51", "102", "154", "205", "257", "308"]
