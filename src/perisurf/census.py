@@ -36,6 +36,13 @@ once per data set; a free rotation cell is checked the same way, on its
 first unit.  Tests hold every emitted data set valid over random cells, and
 the oracle equal to the generator on a grid.
 
+The census keeps nothing on the data sets it makes.  :func:`validate`,
+:func:`genus` and :func:`classify` keep their value on a data set
+(``core._kept``), which pays off on an object that is asked again; the
+generator and the oracle ask once and discard most candidates, so they
+call the rules behind those functions (``core._validate``, ``_genus`` and
+``_classify``) directly, and no record's data set holds a kept value.
+
 Each irreducible record's ``polygon_verified`` is what
 :func:`perisurf.realization.verify_realization` says of its polygon.  One
 census call checks each distinct polygon shape once, and
@@ -78,14 +85,14 @@ from .core import (
     ConePair,
     DataSet,
     _CLASS_LABELS,
+    _classify,
     _data_set_from_json,
+    _genus,
     _lcm_violations,
+    _validate,
     canonicalize,
-    classify,
     data_set_to_json,
     format_data_set,
-    genus,
-    validate,
 )
 from .realization import _verified
 
@@ -135,7 +142,7 @@ def _free_rotations(n: int, g: int) -> list[DataSet]:
         return []
     out = [DataSet(n, (g - 1) // n + 1, r) for r in _units(n)]
     if out:
-        assert validate(out[0]).valid and genus(out[0]) == g, out[0]
+        assert _validate(out[0]).valid and _genus(out[0]) == g, out[0]
     return out
 
 
@@ -230,7 +237,7 @@ def _cell(n: int, g: int, tables: tuple[dict[int, dict[int, ConePair]],
         raise ValueError(f"degree must be positive, got {n}")
     if g < 0:
         raise ValueError(f"genus must be non-negative, got {g}")
-    cell = [(format_data_set(d), d, classify(d).label)
+    cell = [(format_data_set(d), d, _classify(d).label)
             for d in _free_rotations(n, g)]
     cones, texts = ({}, {}) if tables is None else tables
 
@@ -257,14 +264,14 @@ def _cell(n: int, g: int, tables: tuple[dict[int, dict[int, ConePair]],
             sets = [DataSet(n, g0, 0, tuple(map(getitem, cone_of, cs)))
                     for cs in residues]
             first = sets[0]
-            assert validate(first).valid and genus(first) == g, first
+            assert _validate(first).valid and _genus(first) == g, first
             # one data set decides the class of the whole multiset.  Where
             # core._residues_decide holds, every valid set is rotational:
             # condition v makes the residues a unit c and n - c when n > 2,
             # and 1 each when n = 2, which is classify's rotational rule.
             cell.extend(zip([head + ",".join(map(getitem, text_of, cs)) + ")"
                              for cs in residues], sets,
-                            repeat(classify(first).label)))
+                            repeat(_classify(first).label)))
         g0 += 1
     cell.sort(key=itemgetter(0))
     return cell
@@ -290,7 +297,7 @@ def enumerate_oracle(degree: int, g: int) -> list[DataSet]:
     for g0 in range(0, g + 2):
         for r in range(0, n):
             d = DataSet(n, g0, r)
-            if validate(d).valid and genus(d) == g:
+            if _validate(d).valid and _genus(d) == g:
                 found.add(d)
 
     divs = _divisors(n)
@@ -304,7 +311,7 @@ def enumerate_oracle(degree: int, g: int) -> list[DataSet]:
                 for cs in product(*(_units(o) for o in orders)):
                     d = DataSet(n, g0, 0,
                                 tuple(ConePair(c, o) for c, o in zip(cs, orders)))
-                    if validate(d).valid and genus(d) == g:
+                    if _validate(d).valid and _genus(d) == g:
                         found.add(canonicalize(d)[0])
         g0 += 1
     return sorted(found, key=format_data_set)
@@ -396,7 +403,7 @@ def census(query: CensusQuery, *, workers: int | None = None,
                 "restrict it with a degree filter")
         for n in degs:
             if oracle:
-                rows = ((d, classify(d).label) for d in enumerate_oracle(n, g))
+                rows = ((d, _classify(d).label) for d in enumerate_oracle(n, g))
             else:
                 rows = ((d, label) for _, d, label in _cell(n, g, tables))
             records.extend([_build_record(d, g, label, checked)

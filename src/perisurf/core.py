@@ -209,19 +209,47 @@ def _lcm_violations(degree: int, quotient_genus: int,
     return out
 
 
-def genus(d: DataSet | MarkedDataSet) -> int:
-    """Genus of the total surface the data set acts on.
+def _kept(obj, name: str, derive):
+    """``derive(obj)``, computed on the first request and kept in
+    ``obj.__dict__[name]`` for every later one.
 
-    Computed from the degree, quotient genus and cone orders alone; raises
-    ``ValueError`` when the result is not a non-negative integer.
+    This is safe on the frozen data classes of the package: an object
+    never changes, so neither does a value derived from it, and their
+    ``==``, ``hash``, ``repr``, ``dataclasses.fields`` and JSON forms read
+    the fields alone, never ``__dict__``.  A ``dataclasses.replace`` copy is
+    a new object and keeps nothing.  A ``derive`` that raises stores
+    nothing, so every request raises again.  ``derive`` never returns
+    ``None``, which marks a value not yet derived.  Two threads that ask
+    at once may both derive the value; they store equal values, so no lock
+    is taken.
     """
-    base = d.base if isinstance(d, MarkedDataSet) else d
-    g = _rh_genus(base.degree, base.quotient_genus,
-                  [p.order for p in base.cone_pairs])
+    kept = obj.__dict__
+    value = kept.get(name)
+    if value is None:
+        value = kept[name] = derive(obj)
+    return value
+
+
+def _genus(d: DataSet) -> int:
+    # the rule behind genus(), on a plain data set
+    g = _rh_genus(d.degree, d.quotient_genus, [p.order for p in d.cone_pairs])
     if g.denominator != 1 or g < 0:
         raise ValueError(f"degree/cone data give surface genus {g}, "
                          "which is not a non-negative integer")
     return int(g)
+
+
+def genus(d: DataSet | MarkedDataSet) -> int:
+    """Genus of the total surface the data set acts on.
+
+    Computed from the degree, quotient genus and cone orders alone; raises
+    ``ValueError`` when the result is not a non-negative integer.  The genus
+    is kept on the (base) data set after its first computation, which is
+    safe because a data set is frozen (see ``_kept``); a data set whose
+    genus raises keeps nothing.
+    """
+    base = d.base if isinstance(d, MarkedDataSet) else d
+    return _kept(base, "_genus", _genus)
 
 
 def _mark_violations(m: MarkedDataSet) -> list[tuple[str, str]]:
@@ -252,13 +280,25 @@ def validate(d: DataSet | MarkedDataSet) -> ValidationReport:
     Condition ids: ``i`` (rotation vs. cone pairs), ``ii`` (cone orders
     divide the degree), ``iii`` (reduced residues), ``iv`` (lcm stability /
     sphere-quotient lcm), ``v`` (weighted residue sum), and
-    ``genus-integrality``.  Marked data sets add a ``marks`` id.
-    """
-    mark_violations: list[tuple[str, str]] = []
-    if isinstance(d, MarkedDataSet):
-        mark_violations = _mark_violations(d)
-        d = d.base
+    ``genus-integrality``.  Marked data sets add a ``marks`` id, after the
+    base's violations.
 
+    The report of a data set is kept on it after its first computation,
+    which is safe because a data set is frozen (see ``_kept``).  A marked
+    data set reads its base's report: with well-formed marks the report is
+    that one, else a new report that adds the mark violations.
+    """
+    if isinstance(d, MarkedDataSet):
+        report = _kept(d.base, "_validate", _validate)
+        marks = _mark_violations(d)
+        if marks:
+            return ValidationReport(report.violations + tuple(marks))
+        return report
+    return _kept(d, "_validate", _validate)
+
+
+def _validate(d: DataSet) -> ValidationReport:
+    # the rule behind validate(), on a plain data set
     n, g0, r, pairs = d.degree, d.quotient_genus, d.rotation, d.cone_pairs
     l = len(pairs)
     out: list[tuple[str, str]] = []
@@ -297,7 +337,7 @@ def validate(d: DataSet | MarkedDataSet) -> ValidationReport:
         out.append(("genus-integrality",
                     f"degree/cone data give surface genus {g}"))
 
-    return ValidationReport(violations=tuple(out + mark_violations))
+    return ValidationReport(violations=tuple(out))
 
 
 def _residues_decide(degree: int, orders: Sequence[int]) -> bool:
@@ -311,11 +351,20 @@ def _residues_decide(degree: int, orders: Sequence[int]) -> bool:
 
 
 def classify(d: DataSet | MarkedDataSet) -> ActionClass:
-    """Classify the action: rotational, type 1 (maybe irreducible), or type 2."""
+    """Classify the action: rotational, type 1 (maybe irreducible), or type 2.
+
+    The class is kept on the (base) data set after its first computation,
+    which is safe because a data set is frozen (see ``_kept``).
+    """
     base = d.base if isinstance(d, MarkedDataSet) else d
-    if base.rotation != 0:
+    return _kept(base, "_classify", _classify)
+
+
+def _classify(d: DataSet) -> ActionClass:
+    # the rule behind classify(), on a plain data set
+    if d.rotation != 0:
         return ActionClass("rotational")
-    n, pairs = base.degree, base.cone_pairs
+    n, pairs = d.degree, d.cone_pairs
     l = len(pairs)
     if _residues_decide(n, [p.order for p in pairs]):
         # rotational when the residues are a unit s and n - s, k times each
@@ -324,7 +373,7 @@ def classify(d: DataSet | MarkedDataSet) -> ActionClass:
         if 1 <= s < n and gcd(s, n) == 1 and cs == [s] * k + [n - s] * k:
             return ActionClass("rotational")
     if l == 3 and any(p.order == n for p in pairs):
-        return ActionClass("type1", irreducible=base.quotient_genus == 0)
+        return ActionClass("type1", irreducible=d.quotient_genus == 0)
     return ActionClass("type2")
 
 
@@ -332,11 +381,16 @@ def canonicalize(d: DataSet) -> tuple[DataSet, tuple[int, ...]]:
     """Sort cone pairs by (order, rotation); returns the applied permutation.
 
     ``perm[k-1]`` is the old (1-based) index of the new ``k``-th pair, so
-    marks can be transported through the inverse.
+    marks can be transported through the inverse.  A data set whose pairs
+    are in that order already is returned itself, with the values it keeps
+    (see :func:`validate`); it equals the set a copy would be, so a value
+    derived from either holds for both.
     """
     pairs = d.cone_pairs
     order = sorted(range(len(pairs)), key=lambda i: (pairs[i].order, pairs[i].c))
     perm = tuple(i + 1 for i in order)
+    if order == list(range(len(pairs))):
+        return d, perm
     canon = DataSet(d.degree, d.quotient_genus, d.rotation,
                     tuple(pairs[i] for i in order))
     return canon, perm

@@ -71,9 +71,7 @@ def verdict_to_json(v: FillabilityVerdict) -> dict:
     }
 
 
-def classify_irreducible(m: MarkedDataSet, *,
-                         _descriptor: OpenBookDescriptor | None = None,
-                         ) -> FillabilityVerdict:
+def classify_irreducible(m: MarkedDataSet) -> FillabilityVerdict:
     """Classify the contact structure of a marked irreducible data set.
 
     A positive extension is Stein fillable outright.  A negative extension
@@ -82,8 +80,7 @@ def classify_irreducible(m: MarkedDataSet, *,
     left-veering, and the structure is overtwisted (Honda, Kazez and Matic,
     "Right-veering diffeomorphisms of compact surfaces with boundary",
     Invent. Math. 169, 2007).  Raises ``ValueError`` unless the base is
-    irreducible type 1 and the marks are well formed.  ``_descriptor`` is
-    ``page_descriptor(m)`` when the caller has it already.
+    irreducible type 1 and the marks are well formed.
 
     Lemma: every successful resolution here is left-veering.  A ``-``
     marked orbit turns by ``u/order - 1`` with ``u`` in ``[1, order-1]``,
@@ -109,9 +106,8 @@ def classify_irreducible(m: MarkedDataSet, *,
             tuple(notes),
         )
 
-    descriptor = page_descriptor(m) if _descriptor is None else _descriptor
     try:
-        resolved = integral_resolution(descriptor)
+        resolved = integral_resolution(page_descriptor(m))
     except UnsupportedResolution as exc:
         return FillabilityVerdict(
             "Unknown", "none",
@@ -229,7 +225,7 @@ def classify_marked(m: MarkedDataSet) -> FillabilityVerdict:
     descriptor = page_descriptor(m)
     fired: list[FillabilityVerdict] = []
     try:
-        fired.append(classify_irreducible(m, _descriptor=descriptor))
+        fired.append(classify_irreducible(m))
     except ValueError:
         pass
     if descriptor.positive_word:

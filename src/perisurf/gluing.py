@@ -31,6 +31,7 @@ from .core import (
     MarkedDataSet,
     _check_marks,
     _fraction_to_json,
+    _kept,
     classify,
     data_set_from_json,
     data_set_to_json,
@@ -395,8 +396,15 @@ def assemble(a: Assembly) -> AssemblyResult:
     """Flatten an assembly to one marked data set, word and ledger.
 
     Checks nothing: the :class:`Assembly` constructor has checked the
-    structure already.
+    structure already.  The result is kept on ``a`` after its first
+    computation, which is safe because both are frozen (see
+    ``core._kept``).
     """
+    return _kept(a, "_assemble", _assemble)
+
+
+def _assemble(a: Assembly) -> AssemblyResult:
+    # the rule behind assemble()
     pieces = a.pieces
     degree = pieces[0].degree
     glued = {slot for e in a.edges for slot in (e.left, e.right)}

@@ -17,7 +17,7 @@ from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 
-from .core import MarkedDataSet, _check_marks, _fraction_to_json, genus
+from .core import MarkedDataSet, _check_marks, _fraction_to_json, _kept, genus
 from .gluing import Ext, MonodromyWord, Rot, Token, Twist, boundary_slope, word_to_json
 
 
@@ -84,9 +84,18 @@ def page_descriptor(m: MarkedDataSet) -> OpenBookDescriptor:
 
     The word is the extension of the periodic map followed by the boundary
     rotations; it contains no twists, so it is trivially positive.
+
+    The descriptor is kept on ``m`` after its first computation, which is
+    safe because both are frozen (see ``core._kept``); a marked data set
+    whose marks or cones raise here keeps nothing.
     """
     if not isinstance(m, MarkedDataSet):
         raise TypeError("page_descriptor needs a marked data set")
+    return _kept(m, "_page_descriptor", _page_descriptor)
+
+
+def _page_descriptor(m: MarkedDataSet) -> OpenBookDescriptor:
+    # the rule behind page_descriptor()
     _check_marks(m)
     base = m.base
 
@@ -188,7 +197,16 @@ class SurgeryDescription:
 
 
 def surgery_description(d: OpenBookDescriptor) -> SurgeryDescription:
-    """How to trade each rotating boundary for surgery on an integral binding."""
+    """How to trade each rotating boundary for surgery on an integral binding.
+
+    The description is kept on ``d`` after its first computation, which is
+    safe because both are frozen (see ``core._kept``).
+    """
+    return _kept(d, "_surgery_description", _surgery_description)
+
+
+def _surgery_description(d: OpenBookDescriptor) -> SurgeryDescription:
+    # the rule behind surgery_description()
     return SurgeryDescription(tuple(SurgeryEntry(o.mark, o.per_period_slope)
                                     for o in d.boundary_orbits))
 

@@ -86,7 +86,9 @@ def polygon_realization(d: DataSet) -> PolygonPresentation:
     """Side-paired polygon realizing an irreducible type 1 data set.
 
     The data set is canonicalized first, so the full-order cone pair sits
-    last and serves as the rotation center.  Raises ``ValueError`` unless
+    last and serves as the rotation center.  A data set that is canonical
+    already is its own canonical form, so the class, report and genus read
+    here are the ones it keeps.  Raises ``ValueError`` unless
     the input is a valid irreducible type 1 data set.  A pairing that fails
     its own involution check is still returned — :func:`verify_realization`
     reports the failure rather than this function repairing it.
@@ -269,7 +271,7 @@ def draw_polygon_svg(p: PolygonPresentation, path: str) -> None:
         if key in seen:
             continue
         seen.add(key)
-        hue = (360 * pair_index * 2 // max(1, k)) % 360
+        hue = (360 * pair_index * 2 // k) % 360
         (x1, y1), (x2, y2) = midpoint(x), midpoint(y)
         lines.append(f'<path d="M {x1:.1f} {y1:.1f} Q {cx:.1f} {cy:.1f} '
                      f'{x2:.1f} {y2:.1f}" fill="none" '

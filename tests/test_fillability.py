@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import perisurf.fillability as fillability
+import perisurf.openbook as openbook
 from perisurf.census import CensusQuery, census
 from perisurf.core import MarkedDataSet, classify, parse_data_set
 from perisurf.fillability import (
@@ -209,13 +210,16 @@ def test_classify_marked_merges_rules():
 
 
 def test_classify_marked_builds_one_page_descriptor(monkeypatch):
+    # every rule reads page_descriptor(m), which builds the descriptor once
+    # and keeps it on m
     calls = []
+    build = openbook._page_descriptor
 
     def counting(m):
         calls.append(m)
-        return page_descriptor(m)
+        return build(m)
 
-    monkeypatch.setattr("perisurf.fillability.page_descriptor", counting)
+    monkeypatch.setattr(openbook, "_page_descriptor", counting)
     for text, verdict in [("(6_-,0;(1,2),(2,3),(5,6),[3])", "Overtwisted"),
                           ("(6_-,0;(1,2),(1,3),(1,6),[2])", "Unknown"),
                           ("(6_+,0;(1,2),(1,3),(1,6),[3])", "SteinFillable")]:

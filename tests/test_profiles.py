@@ -276,9 +276,11 @@ SEARCH_GOLDEN = Path(__file__).with_name("search_golden.json")
 SEARCH_BUDGETS = (1, 37, 300, 1000)
 SEARCH_SLOPES = [(p, q) for p in (*range(1, 10), *range(-9, 0))
                  for q in range(-27, 19) if math.gcd(abs(p), abs(q)) == 1]
-# slopes p < q < 2p, whose shapes all fail on the binding arc
+# slopes p < q < 2p, whose shapes all fail on the binding arc at a tight
+# tolerance; at 1.0 the search accepts a shape for 2/3 (K = 2, H = 1.0, at
+# candidate 101), so the pruning is pinned on a found shape as well
 ARC_SLOPES = ((2, 3), (7, 12), (9, 17))
-ARC_TOLERANCES = (0.25, math.nan)
+ARC_TOLERANCES = (0.25, 1.0, math.nan)
 
 
 def _pinned(outcomes: list) -> dict:
