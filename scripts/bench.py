@@ -13,8 +13,19 @@ first when it is odd.
 The output file holds, per workload, each run's result (the JSON object on
 the last line of its stdout), each side's median and quartiles of every
 metric, and the number of pairs the change won on each metric, by the
-direction ``BENCHMARK.json`` gives it; a tie counts for neither side.  Its
-stamp names the Python version, the CPU count and both commits.  Without
+direction ``BENCHMARK.json`` gives it; a tie counts for neither side.  Each
+end-to-end metric also gets the ``verdict`` its runs support, with the
+bound ``BENCHMARK.json`` fixes for it (a fraction of the parent's median):
+
+- ``gain``: the change won at least nine tenths of the pairs, and its median
+  is better than the parent's by more than the parent's quartile spread;
+- ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+- ``unresolved``: the parent's quartile spread is wider than the bound;
+- ``none``: none of these.
+
+The first that holds is given.  Its stamp names the Python version, the
+CPU count and both commits.  Without
 ``--out`` it is ``BENCH_<n>.json`` at the root of the checkout, with the
 first ``n`` from 1 not taken.  The exit status is 1 when any run failed or
 reported a result that is not ``correct`` with 0 failed items.
@@ -81,9 +92,26 @@ def ok(run: dict) -> bool:
     return r is not None and r.get("correct") is True and r.get("failed") == 0
 
 
-def summary(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs won by
-    the change."""
+def verdict(row: dict, bound: float) -> str:
+    """What a metric row with both sides and a won count supports; see the
+    module docstring."""
+    parent, change = row["parent"], row["change"]
+    sign = 1 if row["better"] == "higher" else -1
+    gap = sign * (change["median"] - parent["median"])  # > 0: change better
+    spread = parent["q3"] - parent["q1"]
+    if 10 * row["won"] >= 9 * row["pairs"] and gap > spread:
+        return "gain"
+    if -gap > bound * abs(parent["median"]):
+        return "worse"
+    if spread > bound * abs(parent["median"]):
+        return "unresolved"
+    return "none"
+
+
+def summary(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric: each side's median and quartiles, the pairs won by the
+    change, and for an end-to-end metric, one whose ``BENCHMARK.json`` entry
+    in ``metrics`` has a bound, the verdict."""
     values: dict[str, dict[str, dict[int, float]]] = {}
     for run in runs:
         if run["result"] is None:
@@ -102,13 +130,16 @@ def summary(runs: list[dict], better: dict[str, str]) -> dict:
                 row[s] = {"median": median(xs), "q1": q1, "q3": q3,
                           "runs": len(xs)}
         pairs = sorted(side["parent"].keys() & side["change"].keys())
-        direction = better.get(name)
+        spec = metrics.get(name, {})
+        direction = spec.get("better")
         if direction in ("higher", "lower"):
             sign = 1 if direction == "higher" else -1
             row["better"] = direction
             row["won"] = sum(sign * (side["change"][k] - side["parent"][k]) > 0
                              for k in pairs)
             row["pairs"] = len(pairs)
+            if "bound" in spec and pairs:
+                row["verdict"] = verdict(row, spec["bound"])
         out[name] = row
     return out
 
@@ -136,8 +167,8 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--pairs must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"]
-              for m in spec["end_to_end"] + spec["per_layer"]}
+    metrics_spec = {m["name"]: m
+                    for m in spec["end_to_end"] + spec["per_layer"]}
     shas = {"parent": git("rev-parse", "--verify", f"{args.parent}^{{commit}}"),
             "change": git("rev-parse", "--verify", f"{args.change}^{{commit}}")}
     report = {
@@ -165,12 +196,14 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} pair {k} seed {seed} {s}: "
                           f"{'ok' if ok(run) else 'FAILED'} "
                           f"in {run['wall_s']:.1f} s", file=sys.stderr)
-            metrics = summary(runs, better)
+            metrics = summary(runs, metrics_spec)
             report["workloads"][workload] = {"metrics": metrics, "runs": runs}
             for name, row in metrics.items():
                 if "parent" in row and "change" in row:
                     won = (f"  won {row['won']}/{row['pairs']}"
                            if "won" in row else "")
+                    if "verdict" in row:
+                        won += f"  {row['verdict']}"
                     print(f"{workload} {name}: {row['parent']['median']:.6g}"
                           f" -> {row['change']['median']:.6g}{won}")
     out = args.out or next_bench_path()

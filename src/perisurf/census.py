@@ -175,9 +175,11 @@ def _extend_multisets(out: list[tuple[int, ...]], divs: list[int],
         acc.pop()
 
 
-def _residue_tuples(n: int, orders: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _residue_tuples(n: int, orders: tuple[int, ...],
+                    units=_units) -> list[tuple[int, ...]]:
     # canonical residue choices: non-decreasing within each run of equal
-    # orders, weighted sum divisible by the degree
+    # orders, weighted sum divisible by the degree.  units(o) gives the
+    # units mod o in increasing order (a cell passes its cone table's)
     runs: list[tuple[int, int]] = []
     for o in orders:
         if runs and runs[-1][0] == o:
@@ -193,7 +195,7 @@ def _residue_tuples(n: int, orders: tuple[int, ...]) -> list[tuple[int, ...]]:
     for o, m in head_runs:
         weight = n // o
         run = [(combo, weight * sum(combo)) for combo in
-               combinations_with_replacement(_units(o), m)]
+               combinations_with_replacement(units(o), m)]
         prefixes = [(acc + combo, (weighted + s) % n)
                     for acc, weighted in prefixes for combo, s in run]
 
@@ -209,7 +211,7 @@ def _residue_tuples(n: int, orders: tuple[int, ...]) -> list[tuple[int, ...]]:
         heads = [((), 0, 1)]
     else:
         heads = [(head, sum(head), head[-1]) for head in
-                 combinations_with_replacement(_units(order), count - 1)]
+                 combinations_with_replacement(units(order), count - 1)]
     out: list[tuple[int, ...]] = []
     for acc, weighted in prefixes:
         t = -weighted % n
@@ -251,14 +253,16 @@ def _cell(n: int, g: int, tables: tuple[dict[int, dict[int, ConePair]],
         for orders in _order_multisets(n, target):
             if _lcm_violations(n, g0, orders):
                 continue
-            residues = _residue_tuples(n, orders)
-            if not residues:
-                continue
+            # the table lists each order's units once per cell, in
+            # increasing order, and the residue tuples read them from it
             for o in orders:
                 if o not in cones:
                     units = _units(o)
                     cones[o] = {c: ConePair(c, o) for c in units}
                     texts[o] = {c: f"({c},{o})" for c in units}
+            residues = _residue_tuples(n, orders, cones.__getitem__)
+            if not residues:
+                continue
             cone_of = [cones[o] for o in orders]
             text_of = [texts[o] for o in orders]
             sets = [DataSet(n, g0, 0, tuple(map(getitem, cone_of, cs)))

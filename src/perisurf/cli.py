@@ -8,8 +8,9 @@ errors.
 
 Each ``_cmd_*`` handler returns ``(exit code, payload, lines)`` and prints
 nothing itself.  :func:`main` prints the payload as indented JSON when JSON
-is wanted and the payload is not ``None``, and the text lines otherwise;
-``census`` has no payload because it writes JSON lines in both modes.
+is wanted and the payload is not ``None``, and the text lines otherwise.
+``census`` prints JSON lines in both modes, so it has a payload only with
+``--output``: the record count and the path of the file it wrote.
 
 Only :mod:`perisurf.core` is imported with this module.  Each handler
 imports what it uses from the other modules, so a command loads only those:
@@ -357,9 +358,6 @@ def _cmd_profile(args):
     else:
         pp = build_profile(args.p, args.q, args.K, args.H,
                            peak=args.peak, **samples)
-    # the search keeps only pass or fail: it drops a shape at its first
-    # failure and records no inconclusive samples, so this pass builds the
-    # report for both paths
     report = verify_profile(pp, args.tolerance)
     if args.csv:
         write_profile_csv(pp, args.csv)
@@ -405,7 +403,7 @@ def _cmd_enumerate(args):
 def _cmd_census(args):
     from .census import CensusQuery, _record_line, census
 
-    # JSON lines in either output mode, hence no payload
+    # JSON lines on stdout in either output mode, hence no payload there
     query = CensusQuery(genus=args.genus, max_genus=args.max_genus,
                         degrees=args.degrees, action_class=args.action_class)
     records = census(query, workers=args.workers, oracle=args.oracle)
@@ -414,7 +412,8 @@ def _cmd_census(args):
         return 0, None, lines
     with open(args.output, "w") as fh:
         fh.write("".join(line + "\n" for line in lines))
-    return 0, None, [f"{len(records)} records written to {args.output}"]
+    return (0, {"records": len(records), "output": args.output},
+            [f"{len(records)} records written to {args.output}"])
 
 
 # --- parser -------------------------------------------------------------------

@@ -14,7 +14,12 @@ inconclusive values and definite violations in grid order, and walks the
 samples only when some value is not clearly of the wanted sign.
 Verification reads all of it; the search reads it arc by arc, drops a shape
 at its first definite violation, and decides the corner once per ``K`` and
-the binding arc once per ``H``.
+the binding arc once per ``H``.  The per-sample loops multiply floats only:
+the integers ``p``, ``q``, ``q K`` and ``p K`` are converted once, by the
+conversion an int operand gets anyway, so every sample and every report is
+the one the mixed int and float products give.  A profile the search
+returns carries the report its windows computed, and verifying it at the
+search's tolerance returns that report rather than scanning again.
 """
 
 from __future__ import annotations
@@ -66,6 +71,13 @@ class ConditionReport:
     @property
     def ok(self) -> bool:
         return self.contact_ok and self.symplectic_ok
+
+
+# A profile that search_profiles returns keeps its search's tolerance and
+# report in its __dict__ under this key, as core._kept does.  A frozen
+# ProfilePair never changes, its ==, hash and repr read the fields alone,
+# and a dataclasses.replace copy is a new object that keeps nothing.
+_KEPT_REPORT = "_report"
 
 
 @dataclass(frozen=True)
@@ -143,22 +155,35 @@ def _profile_points(p: int, q: int, K: int, H: float, peak: float,
     two_h = 2 * H
     yield plan.binding, [two_h - s for s in plan.squares], plan.squares
 
+    # an int operand of a float operation is converted by the same correctly
+    # rounded PyLong_AsDouble that float() uses, so each product below is the
+    # double of the int form; the conversion is exact below 2**53
+    pf, qf = float(p), float(q)
+    qK, pK = float(q * K), float(p * K)
     fa, dfa = two_h - a * a, -2 * a
     ga, dga = a * a, 2 * a
-    fb, dfb = -b * p - q * K, float(-p)
-    gb, dgb = -b * q + p * K, float(-q)
+    fb, dfb = -b * pf - qK, -pf
+    gb, dgb = -b * qf + pK, -qf
     bump = (peak - 1.0) * max(1.0, abs(gb)) * 16
     basis = plan.basis
-    yield (plan.hermite,
-           [h00 * fa + h10w * dfa + h01 * fb + h11w * dfb
-            for h00, h10w, h01, h11w in zip(*basis[:4])],
-           [h00 * ga + h10w * dga + h01 * gb + h11w * dgb
-            + bump * t * t * u * u
-            for h00, h10w, h01, h11w, t, u in zip(*basis)])
+    fs = [h00 * fa + h10w * dfa + h01 * fb + h11w * dfb
+          for h00, h10w, h01, h11w in zip(*basis[:4])]
+    if bump == 0.0:
+        # the bump term is then a zero, and x + 0.0 is x unless x is -0.0
+        # or NaN.  No partial sum is NaN, every term being finite, and none
+        # is -0.0: a sum is -0.0 only when both its terms are, and the first
+        # term h00 * ga is not, for ga is 2**-4 and h00, a sum ending in
+        # + 1, is not -0.0
+        gs = [h00 * ga + h10w * dga + h01 * gb + h11w * dgb
+              for h00, h10w, h01, h11w in zip(*basis[:4])]
+    else:
+        gs = [h00 * ga + h10w * dga + h01 * gb + h11w * dgb
+              + bump * t * t * u * u
+              for h00, h10w, h01, h11w, t, u in zip(*basis)]
+    yield plan.hermite, fs, gs
 
-    qK, pK = q * K, p * K
     rs = plan.collar
-    yield rs, [-r * p - qK for r in rs], [-r * q + pK for r in rs]
+    yield rs, [-r * pf - qK for r in rs], [-r * qf + pK for r in rs]
 
 
 def _assemble_profile(p: int, q: int, K: int, H: float, peak: float = 1.0,
@@ -232,6 +257,7 @@ def _condition_values(grid, f0, g0, p: int, q: int, lo: int, hi: int):
     if lo >= hi:
         return [], []
     last = len(grid) - 1
+    p, q = float(p), float(q)  # the same products (see _profile_points)
 
     def stencil(values):
         # the samples below and above each sample of the window
@@ -300,11 +326,20 @@ def verify_profile(pp: ProfilePair, tolerance: float = 1e-9) -> ConditionReport:
     ``f(1) < 0 < g(1)`` for the symplectic filling to close up; being exact
     integer arithmetic this is checked without tolerance and reported under
     the condition id ``"corner"``.
+
+    A profile that :func:`search_profiles` returned carries the report of
+    its search; at the search's tolerance (compared with ``==``, so never
+    at a NaN one) that report is returned after the length checks.  It is
+    the one a scan gives.  The condition values are computed in floats
+    only, equal bit for bit to the mixed int and float products.
     """
     samples = len(pp.grid)
     _require_verifiable(samples)
     if not len(pp.f0) == len(pp.g0) == samples:
         raise ValueError("grid, f0 and g0 differ in length")
+    kept = pp.__dict__.get(_KEPT_REPORT)
+    if kept is not None and kept[0] == tolerance:
+        return kept[1]
     findings = list(_findings(pp.grid, pp.f0, pp.g0, pp.p, pp.q, 0, samples,
                               tolerance))
     # (r, condition, value) of each definite violation, in grid order
@@ -348,6 +383,13 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
     ``verify_profile(...).ok`` gives, from the same floats at the same
     tolerance.  ``candidates`` caps the shapes tried, skipped ones
     included, and must be at least 1.
+
+    The returned profile keeps the tolerance and a :class:`ConditionReport`
+    of the inconclusive values its windows yielded.  The windows tile the
+    grid and read the same stencils, so these are the findings of
+    :func:`verify_profile`, which returns the kept report at that
+    tolerance.  Every sample is built in floats only and is the one
+    :func:`build_profile`'s shape arithmetic gives.
     """
     if candidates < 1:
         raise ValueError(f"candidates must be at least 1, got {candidates}")
@@ -370,7 +412,7 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
         if K not in corner_ks or H in doomed_hs:
             continue  # verification cannot pass
         for peak in peaks[:budget]:
-            grid, f0, g0 = [], [], []
+            grid, f0, g0, inconclusive = [], [], [], []
             arcs = _profile_points(p, q, K, float(H), peak, plan)
             for arc, (rs, fs, gs) in enumerate(arcs):
                 lo = max(len(grid) - 1, 0)
@@ -379,12 +421,22 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
                 g0 += gs
                 # the stencils that lie on the arcs so far
                 end = len(grid) if len(grid) == samples else len(grid) - 1
-                if any(definite for *_, definite in _findings(
-                        grid, f0, g0, p, q, lo, end, tolerance)):
+                definite = False
+                for r, condition, value, definite in _findings(
+                        grid, f0, g0, p, q, lo, end, tolerance):
+                    if definite:
+                        break
+                    inconclusive.append((r, condition, value))
+                if definite:
                     break
             else:
-                return ProfilePair(tuple(grid), tuple(f0), tuple(g0),
-                                   p, q, K, float(H))
+                found = ProfilePair(tuple(grid), tuple(f0), tuple(g0),
+                                    p, q, K, float(H))
+                # the windows tile the grid, so their findings are the
+                # verifier's, and K is in the corner
+                found.__dict__[_KEPT_REPORT] = (tolerance, ConditionReport(
+                    True, True, None, tuple(inconclusive)))
+                return found
             if arc == 0:  # the other peaks of this H fail there as well
                 doomed_hs.add(H)
                 break

@@ -285,6 +285,34 @@ def _reference_assemble(p, q, K, H, peak=1.0, samples=1024):
     return ProfilePair(tuple(grid), tuple(f0), tuple(g0), p, q, K, H)
 
 
+# profiles._profile_points converts p, q, q * K and p * K to floats once; the
+# loops here multiply by the ints themselves, on the same sample plan.
+
+
+def _profile_points_of_mixed_products(p, q, K, H, peak, plan):
+    # reference: the three arcs (r, f0, g0) with int operands in the loops
+    a, b = _BINDING_END, _COLLAR_START
+    two_h = 2 * H
+    yield plan.binding, [two_h - s for s in plan.squares], plan.squares
+
+    fa, dfa = two_h - a * a, -2 * a
+    ga, dga = a * a, 2 * a
+    fb, dfb = -b * p - q * K, float(-p)
+    gb, dgb = -b * q + p * K, float(-q)
+    bump = (peak - 1.0) * max(1.0, abs(gb)) * 16
+    basis = plan.basis
+    yield (plan.hermite,
+           [h00 * fa + h10w * dfa + h01 * fb + h11w * dfb
+            for h00, h10w, h01, h11w in zip(*basis[:4])],
+           [h00 * ga + h10w * dga + h01 * gb + h11w * dgb
+            + bump * t * t * u * u
+            for h00, h10w, h01, h11w, t, u in zip(*basis)])
+
+    qK, pK = q * K, p * K
+    rs = plan.collar
+    yield rs, [-r * p - qK for r in rs], [-r * q + pK for r in rs]
+
+
 def _reference_derivatives(grid, values):
     n = len(grid)
     out = [0.0] * n

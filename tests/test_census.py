@@ -195,6 +195,24 @@ def test_genus_zero_cell_of_a_large_degree():
         assert label == "rotational" == classify(d).label, d
 
 
+def test_cell_lists_the_units_of_each_cone_order_once(monkeypatch):
+    # the residue tuples read each order's units from the cell's cone
+    # table; before, they listed them again, and (42,10) listed 2 and 21
+    # twice
+    calls = Counter()
+
+    def counting(m):
+        calls[m] += 1
+        return _units(m)
+
+    monkeypatch.setattr(sys.modules["perisurf.census"], "_units", counting)
+    assert len(_cell(42, 10)) == 12
+    assert calls == {2: 1, 21: 1, 42: 1}
+    calls.clear()
+    assert len(_cell(8, 2)) == 2
+    assert calls == {2: 1, 8: 1}
+
+
 def test_residues_never_change_the_class_of_a_valid_set():
     # the lemma at census._cell, over every residue choice rather than the
     # generator's: each valid set whose cone orders let the residues decide

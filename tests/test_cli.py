@@ -460,7 +460,15 @@ def test_census_stream_and_file(tmp_path, capsys):
     stored = [json.loads(line) for line in target.read_text().splitlines()]
     assert stored and all(r["class"] == "type1-irreducible" for r in stored)
     assert all(r["polygon_verified"] is True for r in stored)
-    assert str(len(stored)) in out
+    assert out == f"{len(stored)} records written to {target}\n"
+    # with --json the report of the file written is JSON as well
+    again = tmp_path / "again.jsonl"
+    code, out, _ = run(["census", "--genus", "2", "--degrees", "5,6",
+                        "--workers", "1", "--class", "type1-irreducible",
+                        "--output", str(again), "--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"records": len(stored), "output": str(again)}
+    assert again.read_text() == target.read_text()
 
     code, _, _ = run(["census", "--genus", "1", "--max-genus", "2"], capsys)
     assert code == 2  # mutually exclusive

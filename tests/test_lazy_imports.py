@@ -133,6 +133,17 @@ def test_census_stays_the_function(first):
     assert fresh(code) == [True, True, 4]
 
 
+def test_loading_a_submodule_binds_it_on_the_package():
+    # only the census module is kept off the package; any other submodule is
+    # bound when it loads, before its name is first read from the package
+    code = ("import json, sys\n"
+            "import perisurf.gluing\n"
+            "import perisurf\n"
+            "print(json.dumps(vars(perisurf).get('gluing')\n"
+            "                 is sys.modules['perisurf.gluing']))")
+    assert fresh(code) is True
+
+
 def test_star_import_binds_the_public_names():
     code = ("import json, sys, perisurf\n"
             "names = {}\n"

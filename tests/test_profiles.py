@@ -3,8 +3,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import struct
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,10 @@ from hypothesis import example, given, strategies as st
 
 import perisurf.profiles as profiles
 from perisurf.profiles import (
+    ProfilePair,
     _assemble_profile,
+    _condition_values,
+    _plan,
     binding_symplectic_deviation,
     build_profile,
     search_profiles,
@@ -21,8 +26,10 @@ from perisurf.profiles import (
 )
 from reference import (
     _default_twist_count_by_scan,
+    _profile_points_of_mixed_products,
     _reference_assemble,
     _reference_binding_deviation,
+    _reference_derivatives,
     _reference_search,
     _reference_verify,
 )
@@ -267,6 +274,71 @@ def test_condition_stream_matches_reference_verifier(p, q, K, H, peak,
             == repr(_reference_verify(pp, tolerance)))
     assert (repr(binding_symplectic_deviation(pp))
             == repr(_reference_binding_deviation(pp)))
+
+
+def _bits(values) -> bytes:
+    # the IEEE 754 doubles themselves: -0.0 and 0.0 differ here
+    return struct.pack(f"{len(values)}d", *values)
+
+
+# slopes of both signs of p and q, and far ones up to the CLI's bound
+BIT_SLOPES = [(p, q) for p in (1, 2, 3, 5, 9, -1, -4, -7)
+              for q in range(-27, 19, 3) if math.gcd(abs(p), abs(q)) == 1]
+BIT_SLOPES += [(99991, -99989), (1, 100000), (100000, -99999),
+               (-99999, 100000), (7, 100000)]
+
+
+def test_float_loops_give_the_samples_of_the_mixed_products():
+    # the loops convert p, q, q K and p K to floats once and skip a zero
+    # bump; every sample is the double the int operands gave, and so is
+    # every condition value on the 64-sample grids
+    profiles_built = 0
+    for (p, q), K, H, peak, samples in product(
+            BIT_SLOPES, (1, 2, 3, 7), (1.0, 2.5, 6.0), (1.0, 0.5, 2.0),
+            (64, 256, 1024)):
+        pp = _assemble_profile(p, q, K, H, peak=peak, samples=samples)
+        _, f0, g0 = zip(*_profile_points_of_mixed_products(
+            p, q, K, H, peak, _plan(samples)))
+        f0, g0 = tuple(chain(*f0)), tuple(chain(*g0))
+        assert _bits(pp.f0) + _bits(pp.g0) == _bits(f0) + _bits(g0), \
+            (p, q, K, H, peak, samples)
+        profiles_built += 1
+        if samples != 64:
+            continue
+        contact, symplectic = _condition_values(pp.grid, pp.f0, pp.g0, p, q,
+                                                0, samples)
+        df = _reference_derivatives(pp.grid, f0)
+        dg = _reference_derivatives(pp.grid, g0)
+        assert _bits(contact) == _bits(
+            [f * dg_ - df_ * g for f, g, df_, dg_
+             in zip(f0[1:], g0[1:], df[1:], dg[1:])])
+        assert _bits(symplectic) == _bits(
+            [p * df_ + q * dg_ for df_, dg_ in zip(df, dg)])
+    assert profiles_built == 8640
+
+
+def test_found_profile_keeps_the_report_of_its_search():
+    # the kept report is the one a scan of an equal profile gives; a NaN
+    # tolerance equals no tolerance, so that profile is scanned again
+    found_count = with_inconclusive = 0
+    for tolerance, samples, (p, q) in product(
+            (1e-9, 1e-3, 0, 0.5, math.nan), (64, 256), SEARCH_SLOPES):
+        found = search_profiles(p, q, samples=samples, tolerance=tolerance)
+        if found is None:
+            continue
+        built = ProfilePair(*astuple(found))
+        assert (found, hash(found), repr(found)) == \
+            (built, hash(built), repr(built))
+        report = verify_profile(found, tolerance)
+        assert repr(report) == repr(verify_profile(built, tolerance))
+        assert (verify_profile(found, tolerance) is report) == \
+            (tolerance == tolerance)
+        # at another tolerance the profile is scanned like any other
+        assert verify_profile(found, 2.0) == verify_profile(built, 2.0)
+        assert vars(replace(found)) == vars(built)
+        found_count += 1
+        with_inconclusive += bool(report.inconclusive)
+    assert (found_count, with_inconclusive) == (574, 134)
 
 
 # The outcomes of reference._reference_search on the inputs of the two
