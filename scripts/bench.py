@@ -24,10 +24,10 @@ bound ``BENCHMARK.json`` fixes for it (a fraction of the parent's median):
 - ``unresolved``: the parent's quartile spread is wider than the bound;
 - ``none``: none of these.
 
-The first that holds is given.  Its stamp names the Python version, the
-CPU count and both commits.  Without
-``--out`` it is ``BENCH_<n>.json`` at the root of the checkout, with the
-first ``n`` from 1 not taken.  The exit status is 1 when any run failed or
+The first that holds is given.  The file's stamp names the Python
+version, the CPU count and both commits.  Without ``--out`` the file is
+``BENCH_<n>.json`` at the root of the checkout, with the first ``n`` from 1
+not taken.  The exit status is 1 when any run failed or
 reported a result that is not ``correct`` with 0 failed items.
 
 The script imports nothing from perisurf; it drives ``perfbench/run.py``.

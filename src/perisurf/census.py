@@ -176,10 +176,11 @@ def _extend_multisets(out: list[tuple[int, ...]], divs: list[int],
 
 
 def _residue_tuples(n: int, orders: tuple[int, ...],
-                    units=_units) -> list[tuple[int, ...]]:
+                    units) -> list[tuple[int, ...]]:
     # canonical residue choices: non-decreasing within each run of equal
     # orders, weighted sum divisible by the degree.  units(o) gives the
-    # units mod o in increasing order (a cell passes its cone table's)
+    # units mod o in increasing order, as _units(o) does; a cell reads them
+    # from its cone table
     runs: list[tuple[int, int]] = []
     for o in orders:
         if runs and runs[-1][0] == o:

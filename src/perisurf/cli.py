@@ -403,7 +403,8 @@ def _cmd_enumerate(args):
 def _cmd_census(args):
     from .census import CensusQuery, _record_line, census
 
-    # JSON lines on stdout in either output mode, hence no payload there
+    # records go out as JSON lines in either output mode; only the report
+    # of a file written is a payload
     query = CensusQuery(genus=args.genus, max_genus=args.max_genus,
                         degrees=args.degrees, action_class=args.action_class)
     records = census(query, workers=args.workers, oracle=args.oracle)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -15,12 +14,10 @@ SPEC = {m["name"]: m for part in ("end_to_end", "per_layer")
 
 
 @pytest.fixture(scope="module")
-def bench(request):
+def bench():
     path = ROOT / "scripts" / "bench.py"
     spec = importlib.util.spec_from_file_location("bench", path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules["bench"] = module
-    request.addfinalizer(lambda: sys.modules.pop("bench", None))
     spec.loader.exec_module(module)
     return module
 
@@ -33,8 +30,11 @@ def runs(name: str, parent: list[float], change: list[float]) -> list[dict]:
             for k, value in enumerate(values)]
 
 
-STEADY = [100.0 + k for k in range(10)]  # median 104.5, quartiles 102.25 and 106.75
-WIDE = [50.0, 150.0, 60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 90.0, 110.0]
+# median 104.5 and quartile spread 4.5
+STEADY = [100.0 + k for k in range(10)]
+# median 100 and quartile spreads of 27 and 22.5, either side of a 0.25 bound
+WIDE = [73.0 + 6 * k for k in range(10)]
+NARROW = [77.5 + 5 * k for k in range(10)]
 
 
 @pytest.mark.parametrize("name,parent,change,want", [
@@ -51,8 +51,9 @@ WIDE = [50.0, 150.0, 60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 90.0, 110.0]
     ("items_per_s", STEADY, [v * 0.7 for v in STEADY], "worse"),
     # 20 % fewer: within the bound
     ("items_per_s", STEADY, [v * 0.8 for v in STEADY], "none"),
-    # the parent's spread, 55 on a median of 100, is wider than the bound
+    # the parent's spread is wider than the bound, and then narrower
     ("items_per_s", WIDE, [v + 1 for v in WIDE], "unresolved"),
+    ("items_per_s", NARROW, [v + 1 for v in NARROW], "none"),
     # a lower-is-better metric, both ways
     ("item_p50_ms", STEADY, [v - 30 for v in STEADY], "gain"),
     ("item_p50_ms", STEADY, [v * 1.3 for v in STEADY], "worse"),

@@ -175,12 +175,13 @@ def test_integer_rh_genus_matches_fraction_formula(n, g0, orders):
 def test_residue_tuples_match_filtered_enumeration(cell):
     n, orders = cell
     orders = tuple(sorted(orders))
-    assert _residue_tuples(n, orders) == _residue_tuples_by_filter(n, orders)
+    assert _residue_tuples(n, orders, _units) == \
+        _residue_tuples_by_filter(n, orders)
 
 
 def test_two_full_order_residues_match_filtered_enumeration():
     for n in range(2, 61):
-        assert _residue_tuples(n, (n, n)) == \
+        assert _residue_tuples(n, (n, n), _units) == \
             _residue_tuples_by_filter(n, (n, n)), n
 
 
@@ -197,8 +198,7 @@ def test_genus_zero_cell_of_a_large_degree():
 
 def test_cell_lists_the_units_of_each_cone_order_once(monkeypatch):
     # the residue tuples read each order's units from the cell's cone
-    # table; before, they listed them again, and (42,10) listed 2 and 21
-    # twice
+    # table, so each order's units are listed once per cell
     calls = Counter()
 
     def counting(m):
