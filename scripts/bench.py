@@ -11,8 +11,8 @@ tree, under ``PYTHONDONTWRITEBYTECODE=1``.  Pair ``k`` (from 0) uses seed
 first when it is odd.
 
 The output file holds, per workload, each run's result (the JSON object on
-the last line of its stdout), each side's median and quartiles of every
-metric, and the number of pairs the change won on each metric, by the
+the last line of its stdout), each side's median, quartiles and extremes
+of every metric, and the number of pairs the change won on each metric, by the
 direction ``BENCHMARK.json`` gives it; a tie counts for neither side.  Each
 end-to-end metric also gets the ``verdict`` its runs support, with the
 bound ``BENCHMARK.json`` fixes for it (a fraction of the parent's median):
@@ -21,7 +21,8 @@ bound ``BENCHMARK.json`` fixes for it (a fraction of the parent's median):
   is better than the parent's by more than the parent's quartile spread;
 - ``worse``: the change's median is worse than the parent's by more than
   the bound;
-- ``unresolved``: the parent's quartile spread is wider than the bound;
+- ``unresolved``: the parent's quartile spread is wider than the bound,
+  unless every run of the change reads better than every run of the parent;
 - ``none``: none of these.
 
 The first that holds is given.  The file's stamp names the Python
@@ -103,15 +104,18 @@ def verdict(row: dict, bound: float) -> str:
         return "gain"
     if -gap > bound * abs(parent["median"]):
         return "worse"
-    if spread > bound * abs(parent["median"]):
+    # the change's worst run against the parent's best
+    apart = (change["min"] - parent["max"] if sign > 0
+             else parent["min"] - change["max"])
+    if spread > bound * abs(parent["median"]) and apart <= 0:
         return "unresolved"
     return "none"
 
 
 def summary(runs: list[dict], metrics: dict[str, dict]) -> dict:
-    """Per metric: each side's median and quartiles, the pairs won by the
-    change, and for an end-to-end metric, one whose ``BENCHMARK.json`` entry
-    in ``metrics`` has a bound, the verdict."""
+    """Per metric: each side's median, quartiles and extremes, the pairs
+    won by the change, and for an end-to-end metric, one whose
+    ``BENCHMARK.json`` entry in ``metrics`` has a bound, the verdict."""
     values: dict[str, dict[str, dict[int, float]]] = {}
     for run in runs:
         if run["result"] is None:
@@ -128,7 +132,7 @@ def summary(runs: list[dict], metrics: dict[str, dict]) -> dict:
                 q1, _, q3 = (quantiles(xs, n=4, method="inclusive")
                              if len(xs) > 1 else xs * 3)
                 row[s] = {"median": median(xs), "q1": q1, "q3": q3,
-                          "runs": len(xs)}
+                          "min": xs[0], "max": xs[-1], "runs": len(xs)}
         pairs = sorted(side["parent"].keys() & side["change"].keys())
         spec = metrics.get(name, {})
         direction = spec.get("better")

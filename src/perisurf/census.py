@@ -74,6 +74,7 @@ rather than enumerating irreducible sets on its own.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product, repeat
@@ -176,11 +177,12 @@ def _extend_multisets(out: list[tuple[int, ...]], divs: list[int],
 
 
 def _residue_tuples(n: int, orders: tuple[int, ...],
-                    units) -> list[tuple[int, ...]]:
+                    cones: Mapping[int, Iterable[int]]
+                    ) -> list[tuple[int, ...]]:
     # canonical residue choices: non-decreasing within each run of equal
-    # orders, weighted sum divisible by the degree.  units(o) gives the
-    # units mod o in increasing order, as _units(o) does; a cell reads them
-    # from its cone table
+    # orders, weighted sum divisible by the degree.  Iterating cones[o]
+    # yields the units mod o in increasing order, as _units(o) lists them:
+    # a cell passes its cone table, keyed by those units
     runs: list[tuple[int, int]] = []
     for o in orders:
         if runs and runs[-1][0] == o:
@@ -196,7 +198,7 @@ def _residue_tuples(n: int, orders: tuple[int, ...],
     for o, m in head_runs:
         weight = n // o
         run = [(combo, weight * sum(combo)) for combo in
-               combinations_with_replacement(units(o), m)]
+               combinations_with_replacement(cones[o], m)]
         prefixes = [(acc + combo, (weighted + s) % n)
                     for acc, weighted in prefixes for combo, s in run]
 
@@ -212,7 +214,7 @@ def _residue_tuples(n: int, orders: tuple[int, ...],
         heads = [((), 0, 1)]
     else:
         heads = [(head, sum(head), head[-1]) for head in
-                 combinations_with_replacement(units(order), count - 1)]
+                 combinations_with_replacement(cones[order], count - 1)]
     out: list[tuple[int, ...]] = []
     for acc, weighted in prefixes:
         t = -weighted % n
@@ -261,7 +263,7 @@ def _cell(n: int, g: int, tables: tuple[dict[int, dict[int, ConePair]],
                     units = _units(o)
                     cones[o] = {c: ConePair(c, o) for c in units}
                     texts[o] = {c: f"({c},{o})" for c in units}
-            residues = _residue_tuples(n, orders, cones.__getitem__)
+            residues = _residue_tuples(n, orders, cones)
             if not residues:
                 continue
             cone_of = [cones[o] for o in orders]

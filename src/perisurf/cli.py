@@ -358,6 +358,9 @@ def _cmd_profile(args):
     else:
         pp = build_profile(args.p, args.q, args.K, args.H,
                            peak=args.peak, **samples)
+    # the search keeps only pass or fail: it drops a shape at its first
+    # failure and records no inconclusive samples, so this pass builds the
+    # report for both paths
     report = verify_profile(pp, args.tolerance)
     if args.csv:
         write_profile_csv(pp, args.csv)

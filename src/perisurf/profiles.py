@@ -17,9 +17,7 @@ at its first definite violation, and decides the corner once per ``K`` and
 the binding arc once per ``H``.  The per-sample loops multiply floats only:
 the integers ``p``, ``q``, ``q K`` and ``p K`` are converted once, by the
 conversion an int operand gets anyway, so every sample and every report is
-the one the mixed int and float products give.  A profile the search
-returns carries the report its windows computed, and verifying it at the
-search's tolerance returns that report rather than scanning again.
+the one the mixed int and float products give.
 """
 
 from __future__ import annotations
@@ -71,13 +69,6 @@ class ConditionReport:
     @property
     def ok(self) -> bool:
         return self.contact_ok and self.symplectic_ok
-
-
-# A profile that search_profiles returns keeps its search's tolerance and
-# report in its __dict__ under this key, as core._kept does.  A frozen
-# ProfilePair never changes, its ==, hash and repr read the fields alone,
-# and a dataclasses.replace copy is a new object that keeps nothing.
-_KEPT_REPORT = "_report"
 
 
 @dataclass(frozen=True)
@@ -327,19 +318,13 @@ def verify_profile(pp: ProfilePair, tolerance: float = 1e-9) -> ConditionReport:
     integer arithmetic this is checked without tolerance and reported under
     the condition id ``"corner"``.
 
-    A profile that :func:`search_profiles` returned carries the report of
-    its search; at the search's tolerance (compared with ``==``, so never
-    at a NaN one) that report is returned after the length checks.  It is
-    the one a scan gives.  The condition values are computed in floats
-    only, equal bit for bit to the mixed int and float products.
+    The condition values are computed in floats only, equal bit for bit to
+    the mixed int and float products.
     """
     samples = len(pp.grid)
     _require_verifiable(samples)
     if not len(pp.f0) == len(pp.g0) == samples:
         raise ValueError("grid, f0 and g0 differ in length")
-    kept = pp.__dict__.get(_KEPT_REPORT)
-    if kept is not None and kept[0] == tolerance:
-        return kept[1]
     findings = list(_findings(pp.grid, pp.f0, pp.g0, pp.p, pp.q, 0, samples,
                               tolerance))
     # (r, condition, value) of each definite violation, in grid order
@@ -384,11 +369,7 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
     tolerance.  ``candidates`` caps the shapes tried, skipped ones
     included, and must be at least 1.
 
-    The returned profile keeps the tolerance and a :class:`ConditionReport`
-    of the inconclusive values its windows yielded.  The windows tile the
-    grid and read the same stencils, so these are the findings of
-    :func:`verify_profile`, which returns the kept report at that
-    tolerance.  Every sample is built in floats only and is the one
+    Every sample is built in floats only and is the one
     :func:`build_profile`'s shape arithmetic gives.
     """
     if candidates < 1:
@@ -412,7 +393,7 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
         if K not in corner_ks or H in doomed_hs:
             continue  # verification cannot pass
         for peak in peaks[:budget]:
-            grid, f0, g0, inconclusive = [], [], [], []
+            grid, f0, g0 = [], [], []
             arcs = _profile_points(p, q, K, float(H), peak, plan)
             for arc, (rs, fs, gs) in enumerate(arcs):
                 lo = max(len(grid) - 1, 0)
@@ -421,22 +402,12 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
                 g0 += gs
                 # the stencils that lie on the arcs so far
                 end = len(grid) if len(grid) == samples else len(grid) - 1
-                definite = False
-                for r, condition, value, definite in _findings(
-                        grid, f0, g0, p, q, lo, end, tolerance):
-                    if definite:
-                        break
-                    inconclusive.append((r, condition, value))
-                if definite:
+                if any(definite for *_, definite in _findings(
+                        grid, f0, g0, p, q, lo, end, tolerance)):
                     break
             else:
-                found = ProfilePair(tuple(grid), tuple(f0), tuple(g0),
-                                    p, q, K, float(H))
-                # the windows tile the grid, so their findings are the
-                # verifier's, and K is in the corner
-                found.__dict__[_KEPT_REPORT] = (tolerance, ConditionReport(
-                    True, True, None, tuple(inconclusive)))
-                return found
+                return ProfilePair(tuple(grid), tuple(f0), tuple(g0),
+                                   p, q, K, float(H))
             if arc == 0:  # the other peaks of this H fail there as well
                 doomed_hs.add(H)
                 break

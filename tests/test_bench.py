@@ -35,6 +35,8 @@ STEADY = [100.0 + k for k in range(10)]
 # median 100 and quartile spreads of 27 and 22.5, either side of a 0.25 bound
 WIDE = [73.0 + 6 * k for k in range(10)]
 NARROW = [77.5 + 5 * k for k in range(10)]
+# median 100, quartile spread 39 and highest run 116
+SKEWED = [50.0, 60.0, 70.0, 80.0, 95.0, 105.0, 110.0, 112.0, 114.0, 116.0]
 
 
 @pytest.mark.parametrize("name,parent,change,want", [
@@ -54,6 +56,12 @@ NARROW = [77.5 + 5 * k for k in range(10)]
     # the parent's spread is wider than the bound, and then narrower
     ("items_per_s", WIDE, [v + 1 for v in WIDE], "unresolved"),
     ("items_per_s", NARROW, [v + 1 for v in NARROW], "none"),
+    # a wide parent spread with a long low tail: every change run reads
+    # better than every parent run, by less than the spread, and then not
+    ("items_per_s", SKEWED, [120.0] * 10, "none"),
+    ("items_per_s", SKEWED, [115.0] * 10, "unresolved"),
+    ("item_p50_ms", [200.0 - v for v in SKEWED], [80.0] * 10, "none"),
+    ("item_p50_ms", [200.0 - v for v in SKEWED], [85.0] * 10, "unresolved"),
     # a lower-is-better metric, both ways
     ("item_p50_ms", STEADY, [v - 30 for v in STEADY], "gain"),
     ("item_p50_ms", STEADY, [v * 1.3 for v in STEADY], "worse"),

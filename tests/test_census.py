@@ -175,13 +175,13 @@ def test_integer_rh_genus_matches_fraction_formula(n, g0, orders):
 def test_residue_tuples_match_filtered_enumeration(cell):
     n, orders = cell
     orders = tuple(sorted(orders))
-    assert _residue_tuples(n, orders, _units) == \
+    assert _residue_tuples(n, orders, {o: _units(o) for o in orders}) == \
         _residue_tuples_by_filter(n, orders)
 
 
 def test_two_full_order_residues_match_filtered_enumeration():
     for n in range(2, 61):
-        assert _residue_tuples(n, (n, n), _units) == \
+        assert _residue_tuples(n, (n, n), {n: _units(n)}) == \
             _residue_tuples_by_filter(n, (n, n)), n
 
 

@@ -5,7 +5,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import chain, product
 from pathlib import Path
 
@@ -14,7 +14,6 @@ from hypothesis import example, given, strategies as st
 
 import perisurf.profiles as profiles
 from perisurf.profiles import (
-    ProfilePair,
     _assemble_profile,
     _condition_values,
     _plan,
@@ -315,31 +314,6 @@ def test_float_loops_give_the_samples_of_the_mixed_products():
         assert _bits(symplectic) == _bits(
             [p * df_ + q * dg_ for df_, dg_ in zip(df, dg)])
     assert profiles_built == 8640
-
-
-def test_found_profile_keeps_the_report_of_its_search():
-    # the kept report is the one a scan of an equal profile gives; a NaN
-    # tolerance equals no tolerance, so that profile is scanned again
-    found_count = with_inconclusive = 0
-    for tolerance, samples, (p, q) in product(
-            (1e-9, 1e-3, 0, 0.5, math.nan), (64, 256), SEARCH_SLOPES):
-        found = search_profiles(p, q, samples=samples, tolerance=tolerance)
-        if found is None:
-            continue
-        built = replace(found)  # a new profile of the same fields
-        assert vars(built).keys() == {f.name for f in fields(ProfilePair)}
-        assert (found, hash(found), repr(found)) == \
-            (built, hash(built), repr(built))
-        report = verify_profile(found, tolerance)
-        assert repr(report) == repr(verify_profile(built, tolerance))
-        assert (verify_profile(found, tolerance) is report) == \
-            (tolerance == tolerance)
-        # at another tolerance the profile is scanned like any other
-        assert repr(verify_profile(found, 2.0)) == \
-            repr(verify_profile(built, 2.0))
-        found_count += 1
-        with_inconclusive += bool(report.inconclusive)
-    assert (found_count, with_inconclusive) == (574, 134)
 
 
 # The outcomes of reference._reference_search on the inputs of the two
