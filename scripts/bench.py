@@ -17,8 +17,9 @@ direction ``BENCHMARK.json`` gives it; a tie counts for neither side.  Each
 end-to-end metric also gets the ``verdict`` its runs support, with the
 bound ``BENCHMARK.json`` fixes for it (a fraction of the parent's median):
 
-- ``gain``: the change won at least nine tenths of the pairs, and its median
-  is better than the parent's by more than the parent's quartile spread;
+- ``gain``: of at least ten pairs, the change won at least nine tenths, and
+  its median is better than the parent's by more than the parent's quartile
+  spread;
 - ``worse``: the change's median is worse than the parent's by more than
   the bound;
 - ``unresolved``: the parent's quartile spread is wider than the bound,
@@ -100,7 +101,8 @@ def verdict(row: dict, bound: float) -> str:
     sign = 1 if row["better"] == "higher" else -1
     gap = sign * (change["median"] - parent["median"])  # > 0: change better
     spread = parent["q3"] - parent["q1"]
-    if 10 * row["won"] >= 9 * row["pairs"] and gap > spread:
+    if (row["pairs"] >= 10 and 10 * row["won"] >= 9 * row["pairs"]
+            and gap > spread):
         return "gain"
     if -gap > bound * abs(parent["median"]):
         return "worse"

@@ -74,6 +74,15 @@ def test_summary_gives_each_verdict(bench, name, parent, change, want):
     assert row["pairs"] == 10
 
 
+def test_fewer_than_ten_pairs_give_no_gain(bench):
+    # one pair won, as in a smoke run, and nine pairs all won
+    for k in (1, 9):
+        row = bench.summary(runs("items_per_s", STEADY[:k],
+                                 [v + 30 for v in STEADY[:k]]),
+                            SPEC)["items_per_s"]
+        assert (row["won"], row["pairs"], row["verdict"]) == (k, k, "none")
+
+
 def test_per_layer_metrics_and_lone_sides_get_no_verdict(bench):
     name = "fillability.search.busy_ms"
     row = bench.summary(runs(name, STEADY, STEADY), SPEC)[name]
