@@ -86,6 +86,7 @@ from .core import (
     ConePair,
     DataSet,
     _CLASS_LABELS,
+    _check_int,
     _classify,
     _data_set_from_json,
     _genus,
@@ -137,11 +138,23 @@ def cyclic_degree_cap(g: int) -> int:
     return 4 * g + 2
 
 
-def _free_rotations(n: int, g: int) -> list[DataSet]:
-    # a free rotation of degree n by any unit r acts on genus 1 + n(g0 - 1)
+def _list_units(tables, o: int) -> None:
+    # add order o to a cell's cone tables (see _cell): each unit c of o, in
+    # increasing order, with its ConePair and its text "(c,o)"
+    cones, texts = tables
+    units = _units(o)
+    cones[o] = {c: ConePair(c, o) for c in units}
+    texts[o] = {c: f"({c},{o})" for c in units}
+
+
+def _free_rotations(n: int, g: int, tables) -> list[DataSet]:
+    # a free rotation of degree n by any unit r acts on genus 1 + n(g0 - 1);
+    # the units of n are read from the cell's cone tables
     if (g - 1) % n != 0:
         return []
-    out = [DataSet(n, (g - 1) // n + 1, r) for r in _units(n)]
+    if n not in tables[0]:
+        _list_units(tables, n)
+    out = [DataSet(n, (g - 1) // n + 1, r) for r in tables[0][n]]
     if out:
         assert _validate(out[0]).valid and _genus(out[0]) == g, out[0]
     return out
@@ -237,14 +250,18 @@ def _cell(n: int, g: int, tables: tuple[dict[int, dict[int, ConePair]],
     # each unit c's ConePair and its text "(c,order)", and gains the orders
     # this cell uses; pairs are immutable, so one instance per (c, order)
     # serves every cell that is passed the same tables.  Without them the
-    # cell builds its own.
+    # cell builds its own.  The free rotations read the units of n there.
+    _check_int(n, "degree")
+    _check_int(g, "genus")
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
     if g < 0:
         raise ValueError(f"genus must be non-negative, got {g}")
+    if tables is None:
+        tables = ({}, {})
+    cones, texts = tables
     cell = [(format_data_set(d), d, _classify(d).label)
-            for d in _free_rotations(n, g)]
-    cones, texts = ({}, {}) if tables is None else tables
+            for d in _free_rotations(n, g, tables)]
 
     g0 = 0
     while True:
@@ -260,9 +277,7 @@ def _cell(n: int, g: int, tables: tuple[dict[int, dict[int, ConePair]],
             # increasing order, and the residue tuples read them from it
             for o in orders:
                 if o not in cones:
-                    units = _units(o)
-                    cones[o] = {c: ConePair(c, o) for c in units}
-                    texts[o] = {c: f"({c},{o})" for c in units}
+                    _list_units(tables, o)
             residues = _residue_tuples(n, orders, cones)
             if not residues:
                 continue
@@ -294,6 +309,8 @@ def enumerate_data_sets(degree: int, g: int) -> list[DataSet]:
 
 def enumerate_oracle(degree: int, g: int) -> list[DataSet]:
     """Brute-force reference enumeration; slow, simple, trusted."""
+    _check_int(degree, "degree")
+    _check_int(g, "genus")
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
     if g < 0:
@@ -331,9 +348,14 @@ def enumerate_irreducible(degree: int) -> list[DataSet]:
     ``(n,0;(c1,a),(c2,b),(c3,n))`` has genus ``(n+1-n/a-n/b)/2`` by
     Riemann-Hurwitz, at most ``(n-1)/2`` because ``n/a`` and ``n/b`` are at
     least 1, so the cells of genus up to ``(n-1)//2`` hold every one.
+    The cells share one set of cone tables, so each order's units are
+    listed once per call.
     """
+    _check_int(degree, "degree")
+    tables: tuple[dict, dict] = ({}, {})
     found = [row for g in range((degree - 1) // 2 + 1)
-             for row in _cell(degree, g) if row[2] == "type1-irreducible"]
+             for row in _cell(degree, g, tables)
+             if row[2] == "type1-irreducible"]
     found.sort(key=itemgetter(0))
     return [d for _, d, _ in found]
 
@@ -353,10 +375,15 @@ class CensusQuery:
             raise ValueError("set exactly one of genus / max_genus")
         for name in ("genus", "max_genus"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+            if value is not None:
+                _check_int(value, name)
+                if value < 0:
+                    raise ValueError(f"{name} must be non-negative, got {value}")
         if self.degrees is not None:
-            object.__setattr__(self, "degrees", tuple(self.degrees))
+            degrees = tuple(self.degrees)
+            for n in degrees:
+                _check_int(n, "degree")
+            object.__setattr__(self, "degrees", degrees)
 
     def genus_range(self) -> list[int]:
         if self.genus is not None:

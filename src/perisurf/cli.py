@@ -200,6 +200,7 @@ def _cmd_polygon(args):
     if args.svg:
         draw_polygon_svg(pres, args.svg)
     payload = {"sides": pres.sides, **asdict(pres),
+               "outside_theorem": report.outside_theorem,
                "verification": realization_report_to_json(report)}
     pairs = sorted({tuple(sorted((i + 1, j)))
                     for i, j in enumerate(pres.pairing)})
@@ -207,7 +208,7 @@ def _cmd_polygon(args):
              "pairing: " + " ".join(f"{i}~{j}" for i, j in pairs),
              f"rotation step: {pres.rotation_step}",
              f"genus: {report.euler_genus} (expected {report.rh_genus})"]
-    if pres.outside_theorem:
+    if report.outside_theorem:
         lines.append("note: genus below 2, outside the guaranteed range")
     lines.append(f"verified: {'yes' if report.ok else 'NO'}")
     if args.svg:

@@ -20,11 +20,20 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 
+def _all_ints(values) -> bool:
+    """Whether every value is an int and none is a bool: Python counts a
+    bool as an int, but it counts nothing here.  Both scans run in C."""
+    return (all(map(isinstance, values, repeat(int)))
+            and not any(map(isinstance, values, repeat(bool))))
+
+
 def _check_int(value: object, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
+    # an exact int passes without the scans
+    if type(value) is not int and not _all_ints((value,)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
@@ -138,20 +147,22 @@ _CLASS_LABELS = ("rotational", "type1", "type1-irreducible", "type2")
 
 @dataclass(frozen=True)
 class ActionClass:
-    """Classification of a data set's action.
+    """Classification of a data set's action, by its label.
 
-    ``kind`` is one of ``"rotational"``, ``"type1"``, ``"type2"``;
-    ``irreducible`` is meaningful for type 1 only.
+    ``label`` is one of ``_CLASS_LABELS``.  ``kind`` is the label with the
+    irreducible type 1 class counted as ``"type1"``, and ``irreducible``
+    holds for that class alone.
     """
 
-    kind: str
-    irreducible: bool = False
+    label: str
 
     @property
-    def label(self) -> str:
-        if self.kind == "type1" and self.irreducible:
-            return "type1-irreducible"
-        return self.kind
+    def kind(self) -> str:
+        return "type1" if self.label == "type1-irreducible" else self.label
+
+    @property
+    def irreducible(self) -> bool:
+        return self.label == "type1-irreducible"
 
 
 def mod_inverse(c: int, m: int) -> int:
@@ -373,7 +384,8 @@ def _classify(d: DataSet) -> ActionClass:
         if 1 <= s < n and gcd(s, n) == 1 and cs == [s] * k + [n - s] * k:
             return ActionClass("rotational")
     if l == 3 and any(p.order == n for p in pairs):
-        return ActionClass("type1", irreducible=d.quotient_genus == 0)
+        return ActionClass("type1-irreducible" if d.quotient_genus == 0
+                           else "type1")
     return ActionClass("type2")
 
 

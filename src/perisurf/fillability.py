@@ -26,40 +26,42 @@ from .openbook import (
 # strongest first: classify_marked keeps the earliest definite verdict
 VERDICTS = ("SteinFillable", "StronglyFillable", "Overtwisted", "Unknown")
 
-CERTIFICATES = (
-    "positive-irreducible",
-    "positive-assembly",
-    "positive-twist-stein",
-    "positive-twist-strong",
-    "left-veering-resolution",
-    "none",
-)
+# the verdict that the rule named by each certificate concludes; "none" is
+# the certificate of no rule
+CERTIFICATES = {
+    "positive-irreducible": "SteinFillable",
+    "positive-assembly": "SteinFillable",
+    "positive-twist-stein": "SteinFillable",
+    "positive-twist-strong": "StronglyFillable",
+    "left-veering-resolution": "Overtwisted",
+    "none": "Unknown",
+}
 
 
 @dataclass(frozen=True)
 class FillabilityVerdict:
     """Outcome of one classification rule (or a merge of several).
 
-    ``certificate`` names the rule that produced a definite verdict and is
-    ``"none"`` exactly when the verdict is ``Unknown``.  ``hypotheses``
-    records each condition checked together with whether it held.
+    ``certificate`` names the rule that produced a definite verdict, or is
+    ``"none"`` when no rule did.  ``verdict`` is the conclusion of that
+    certificate, read from ``CERTIFICATES``: ``Unknown`` exactly for
+    ``"none"``.  ``hypotheses`` records each condition checked together
+    with whether it held.
     """
 
-    verdict: str
     certificate: str
     hypotheses: tuple[tuple[str, bool], ...] = ()
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.certificate not in CERTIFICATES:
             raise ValueError(f"unknown certificate {self.certificate!r}")
-        if (self.verdict == "Unknown") != (self.certificate == "none"):
-            raise ValueError("Unknown verdicts carry no certificate and "
-                             "definite ones need one")
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
         object.__setattr__(self, "notes", tuple(self.notes))
+
+    @property
+    def verdict(self) -> str:
+        return CERTIFICATES[self.certificate]
 
 
 def verdict_to_json(v: FillabilityVerdict) -> dict:
@@ -100,7 +102,7 @@ def classify_irreducible(m: MarkedDataSet) -> FillabilityVerdict:
             notes.append("permuted marked orbits: the positive extension "
                          "still fills, rotating the orbit as one binding")
         return FillabilityVerdict(
-            "SteinFillable", "positive-irreducible",
+            "positive-irreducible",
             (("positive extension", True),
              ("irreducible type 1 base", True)),
             tuple(notes),
@@ -110,7 +112,7 @@ def classify_irreducible(m: MarkedDataSet) -> FillabilityVerdict:
         resolved = integral_resolution(page_descriptor(m))
     except UnsupportedResolution as exc:
         return FillabilityVerdict(
-            "Unknown", "none",
+            "none",
             (("negative extension", True),
              ("integral resolution", False)),
             (str(exc),),
@@ -118,7 +120,7 @@ def classify_irreducible(m: MarkedDataSet) -> FillabilityVerdict:
     # a page word has no twists, so each twist here is a resolution twist
     twist_count = len(resolved.monodromy.twists())
     return FillabilityVerdict(
-        "Overtwisted", "left-veering-resolution",
+        "left-veering-resolution",
         (("negative extension", True),
          ("integral resolution", True),
          ("left-veering monodromy", True)),
@@ -153,10 +155,10 @@ def classify_assembly(a: Assembly) -> FillabilityVerdict:
     )
     if all(held for _, held in hypotheses):
         return FillabilityVerdict(
-            "SteinFillable", "positive-assembly", hypotheses,
+            "positive-assembly", hypotheses,
             ("junction curves are compressible to positive twists",),
         )
-    return FillabilityVerdict("Unknown", "none", hypotheses)
+    return FillabilityVerdict("none", hypotheses)
 
 
 def classify_positive_word(d: OpenBookDescriptor) -> FillabilityVerdict:
@@ -192,20 +194,20 @@ def classify_positive_word(d: OpenBookDescriptor) -> FillabilityVerdict:
             notes.append("connected binding: also certified by "
                          "positive-twist-strong")
         return FillabilityVerdict(
-            "SteinFillable", "positive-twist-stein",
+            "positive-twist-stein",
             (("positive monodromy word", True),
              ("slopes admit legendrian surgery", True)),
             tuple(notes),
         )
     if connected and positive_rotation:
         return FillabilityVerdict(
-            "StronglyFillable", "positive-twist-strong",
+            "positive-twist-strong",
             (("positive monodromy word", True),
              ("slopes admit legendrian surgery", False),
              ("connected positively rotating binding", True)),
         )
     return FillabilityVerdict(
-        "Unknown", "none",
+        "none",
         (("positive monodromy word", True),
          ("slopes admit legendrian surgery", stein_slopes),
          ("connected positively rotating binding",
@@ -235,7 +237,7 @@ def classify_marked(m: MarkedDataSet) -> FillabilityVerdict:
     if not definite:
         hypotheses = tuple(h for v in fired for h in v.hypotheses)
         notes = tuple(n for v in fired for n in v.notes)
-        return FillabilityVerdict("Unknown", "none", hypotheses, notes)
+        return FillabilityVerdict("none", hypotheses, notes)
 
     verdicts = {v.verdict for v in definite}
     if "Overtwisted" in verdicts and len(verdicts) > 1:
@@ -246,5 +248,4 @@ def classify_marked(m: MarkedDataSet) -> FillabilityVerdict:
     notes = best.notes
     if others:
         notes = notes + tuple(f"also certified by {c}" for c in others)
-    return FillabilityVerdict(best.verdict, best.certificate,
-                              best.hypotheses, notes)
+    return FillabilityVerdict(best.certificate, best.hypotheses, notes)

@@ -29,6 +29,7 @@ from .core import (
     ConePair,
     DataSet,
     MarkedDataSet,
+    _all_ints,
     _check_marks,
     _fraction_to_json,
     _kept,
@@ -73,13 +74,8 @@ def compatible_pairs(d1: DataSet, d2: DataSet) -> list[tuple[int, int]]:
             for j, q in enumerate(b.cone_pairs, 1) if _compatible(p, q)]
 
 
-def _is_index(v) -> bool:
-    # a bool is an int to Python but names no cone or piece
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _check_cone_index(d: DataSet, idx: int, name: str) -> ConePair:
-    if not _is_index(idx):
+    if not _all_ints((idx,)):
         raise ValueError(f"{name} must be an integer, got {idx!r}")
     if not 1 <= idx <= d.num_pairs:
         raise ValueError(f"{name}={idx} is outside the cone index range "
@@ -330,7 +326,7 @@ def _slot(pieces: tuple, slot, field: str, width: int = 2) -> DataSet:
     # a piece id and then cone indices.  Cone indices are range-checked
     # where they are read.
     if not (isinstance(slot, (tuple, list)) and len(slot) == width
-            and all(map(_is_index, slot))):
+            and _all_ints(slot)):
         raise ValueError(f"{field} must be {width} integers, got {slot!r}")
     p = slot[0]
     if not 0 <= p < len(pieces):

@@ -408,6 +408,15 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
             else:
                 return ProfilePair(tuple(grid), tuple(f0), tuple(g0),
                                    p, q, K, float(H))
+            # ``arc <= 1`` would give the same results: arc is 0 whenever
+            # this line ran in the scans that CHANGES.md records.  A (K, H)
+            # tries peak 1.0 first, which adds no bump, and a bump-free
+            # shape that passed the binding arc always passed the rest.
+            # The collar's values are exact, K(p^2 + q^2) > 0 and
+            # -(p^2 + q^2) < 0.  The Hermite arc's symplectic values peak,
+            # in exact arithmetic, at an end of the arc, where they are the
+            # binding arc's or the collar's.  Its contact values have no
+            # such bound, and rest on the scans.
             if arc == 0:  # the other peaks of this H fail there as well
                 doomed_hs.add(H)
                 break

@@ -35,10 +35,10 @@ and the ``polygon`` command are its only users.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from math import gcd
 
-from .core import DataSet, canonicalize, classify, genus, mod_inverse, validate
+from .core import (DataSet, _all_ints, canonicalize, classify, genus,
+                   mod_inverse, validate)
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,13 @@ class PolygonPresentation:
     ``pairing[i-1]`` is the 1-based partner of side ``i``; every side is
     glued to its partner with reversed orientation, and ``sides`` is the
     pairing's length.  ``rotation_step`` is the index shift realizing the
-    rotation.  ``outside_theorem`` flags inputs of genus < 2, where the
-    polygon model is emitted on a best-effort basis.
+    rotation.  Whether the data set lies outside the theorem is a statement
+    about its genus, so :class:`RealizationReport` holds it.
     """
 
     pairing: tuple[int, ...]
     rotation_step: int
     degree: int
-    outside_theorem: bool = False
 
     @property
     def sides(self) -> int:
@@ -64,7 +63,12 @@ class PolygonPresentation:
 
 @dataclass(frozen=True)
 class RealizationReport:
-    """Outcome of verifying a polygon presentation against its data set."""
+    """Outcome of verifying a polygon presentation against its data set.
+
+    ``ok`` is the one rule for a verified polygon.  ``outside_theorem``
+    flags a data set of genus below 2, where the polygon model is emitted
+    on a best-effort basis.
+    """
 
     euler_genus: int | None
     rh_genus: int
@@ -76,9 +80,14 @@ class RealizationReport:
         return (self.involution_ok and self.equivariance_ok
                 and self.euler_genus == self.rh_genus)
 
+    @property
+    def outside_theorem(self) -> bool:
+        return self.rh_genus < 2
+
 
 def realization_report_to_json(r: RealizationReport) -> dict:
-    """The report's fields and its verdict ``ok``."""
+    """The report's fields and its verdict ``ok``; ``outside_theorem`` is
+    written beside the presentation by the ``polygon`` command."""
     return {**asdict(r), "ok": r.ok}
 
 
@@ -87,9 +96,9 @@ def polygon_realization(d: DataSet) -> PolygonPresentation:
 
     The data set is canonicalized first, so the full-order cone pair sits
     last and serves as the rotation center.  A data set that is canonical
-    already is its own canonical form, so the class, report and genus read
-    here are the ones it keeps.  Raises ``ValueError`` unless
-    the input is a valid irreducible type 1 data set.  A pairing that fails
+    already is its own canonical form, so the class and report read here
+    are the ones it keeps.  Raises ``ValueError`` unless the input is a
+    valid irreducible type 1 data set.  A pairing that fails
     its own involution check is still returned — :func:`verify_realization`
     reports the failure rather than this function repairing it.
     """
@@ -107,7 +116,6 @@ def polygon_realization(d: DataSet) -> PolygonPresentation:
         pairing=_pairing(n, k, z_offset),
         rotation_step=rotation_step,
         degree=n,
-        outside_theorem=genus(canon) < 2,
     )
 
 
@@ -150,7 +158,8 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
     is when :func:`perisurf.core.genus` of it is not a non-negative integer;
     no presentation makes it raise.  A presentation whose pairing is not a
     non-empty tuple or list of ``int``, or whose rotation step is not an
-    ``int``, fails both checks and has no Euler genus.
+    ``int``, fails both checks and has no Euler genus; a ``bool`` counts as
+    no ``int`` here.
 
     The genus of the identified polygon is recomputed from scratch: the
     vertices are counted as the cycles of a permutation of the corners, and
@@ -162,8 +171,7 @@ def verify_realization(p: PolygonPresentation, d: DataSet) -> RealizationReport:
     """
     pairing = p.pairing
     if not (isinstance(pairing, (tuple, list)) and pairing
-            and all(map(isinstance, pairing, repeat(int)))
-            and isinstance(p.rotation_step, int)):
+            and _all_ints(pairing) and _all_ints((p.rotation_step,))):
         # no polygon to glue: a pairing must name one partner per side
         return RealizationReport(None, genus(d), False, False)
     involution_ok, euler_genus = _pairing_checks(pairing)

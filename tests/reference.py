@@ -4,6 +4,7 @@ Each is a plain form of something the program computes in a faster or
 leaner way, and the tests run it live against the program's own result.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import lcm
@@ -16,6 +17,8 @@ from perisurf.core import (
     DataSet,
     MarkedDataSet,
     ParseError,
+    canonicalize,
+    genus,
 )
 from perisurf.profiles import (
     _BINDING_END,
@@ -404,3 +407,46 @@ def _default_twist_count_by_scan(p, q):
     raise ValueError(
         f"no positive collar offset K satisfies -p - qK < 0 < -q + pK "
         f"for (p, q) = ({p}, {q}); pass K explicitly")
+
+
+# --- result types ------------------------------------------------------------
+# ActionClass stored a kind and an irreducible flag, FillabilityVerdict a
+# verdict beside its certificate, and PolygonPresentation whether its data
+# set lies outside the theorem.  Each is now derived; these are the stored
+# forms.
+
+
+@dataclass(frozen=True)
+class _ActionClassByKind:
+    # the class as a kind and a flag, with the label read from them
+    kind: str
+    irreducible: bool = False
+
+    @property
+    def label(self):
+        if self.kind == "type1" and self.irreducible:
+            return "type1-irreducible"
+        return self.kind
+
+
+# every class core._classify built, one per label
+_CLASSES_BY_KIND = (_ActionClassByKind("rotational"),
+                    _ActionClassByKind("type1"),
+                    _ActionClassByKind("type1", irreducible=True),
+                    _ActionClassByKind("type2"))
+
+# the verdict each rule of perisurf.fillability built beside its certificate
+_VERDICT_BESIDE_CERTIFICATE = (
+    ("SteinFillable", "positive-irreducible"),
+    ("SteinFillable", "positive-assembly"),
+    ("SteinFillable", "positive-twist-stein"),
+    ("StronglyFillable", "positive-twist-strong"),
+    ("Overtwisted", "left-veering-resolution"),
+    ("Unknown", "none"),
+)
+
+
+def _outside_theorem_of_presentation(d):
+    # the flag polygon_realization stored: the genus of the canonical form
+    # of d is below 2
+    return genus(canonicalize(d)[0]) < 2

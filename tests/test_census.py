@@ -93,6 +93,14 @@ def test_enumerate_rejects_bad_arguments():
         enumerate_oracle(0, 2)
     with pytest.raises(ValueError, match="genus must be non-negative, got -1"):
         enumerate_oracle(3, -1)
+    # a float or a bool is no integer, though 6.0 == 6 and True == 1
+    for enumerate_ in (enumerate_data_sets, enumerate_oracle):
+        for n, g, field in ((6.0, 1, "degree"), (True, 0, "degree"),
+                            (3, 1.0, "genus"), (3, False, "genus")):
+            with pytest.raises(TypeError, match=f"{field} must be an integer"):
+                enumerate_(n, g)
+    with pytest.raises(TypeError, match="degree must be an integer"):
+        enumerate_irreducible(6.0)
 
 
 def test_enumerator_matches_oracle_on_small_grid():
@@ -197,8 +205,9 @@ def test_genus_zero_cell_of_a_large_degree():
 
 
 def test_cell_lists_the_units_of_each_cone_order_once(monkeypatch):
-    # the residue tuples read each order's units from the cell's cone
-    # table, so each order's units are listed once per cell
+    # the residue tuples and the free rotations read each order's units
+    # from the cell's cone table, so each order's units are listed once per
+    # cell
     calls = Counter()
 
     def counting(m):
@@ -211,6 +220,14 @@ def test_cell_lists_the_units_of_each_cone_order_once(monkeypatch):
     calls.clear()
     assert len(_cell(8, 2)) == 2
     assert calls == {2: 1, 8: 1}
+    # the free rotations read the units of the degree from the same table
+    calls.clear()
+    _cell(6, 1)
+    assert calls == {2: 1, 3: 1, 6: 1}
+    # and the cells of one enumerate_irreducible call share one table
+    calls.clear()
+    enumerate_irreducible(12)
+    assert set(calls.values()) == {1}
 
 
 def test_residues_never_change_the_class_of_a_valid_set():
@@ -277,6 +294,12 @@ def test_census_query_validation():
         CensusQuery(genus=2, max_genus=3)
     for bad in ({"genus": -1}, {"max_genus": -1}):
         with pytest.raises(ValueError, match="non-negative"):
+            CensusQuery(**bad)
+    for bad, field in (({"genus": True}, "genus"), ({"genus": 2.5}, "genus"),
+                       ({"max_genus": True}, "max_genus"),
+                       ({"genus": 2, "degrees": (2, True)}, "degree"),
+                       ({"genus": 2, "degrees": (2.5,)}, "degree")):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
             CensusQuery(**bad)
     with pytest.raises(ValueError):
         census(CensusQuery(genus=1), workers=1)  # unbounded without degrees

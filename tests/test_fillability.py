@@ -12,6 +12,8 @@ import perisurf.openbook as openbook
 from perisurf.census import CensusQuery, census
 from perisurf.core import MarkedDataSet, classify, parse_data_set
 from perisurf.fillability import (
+    CERTIFICATES,
+    VERDICTS,
     FillabilityVerdict,
     classify_assembly,
     classify_irreducible,
@@ -230,7 +232,7 @@ def test_classify_marked_builds_one_page_descriptor(monkeypatch):
 
 def test_classify_marked_rejects_contradictory_verdicts(monkeypatch):
     def overtwisted(m, **_):
-        return FillabilityVerdict("Overtwisted", "left-veering-resolution")
+        return FillabilityVerdict("left-veering-resolution")
 
     # a positive irreducible set also fires the positive-word rule
     monkeypatch.setattr(fillability, "classify_irreducible", overtwisted)
@@ -344,14 +346,14 @@ def test_verdicts_do_not_depend_on_cone_order(data):
 
 
 def test_verdict_certificate_pairing_enforced():
+    # the certificate is stored and names its verdict, so no verdict can be
+    # paired with the wrong certificate
     with pytest.raises(ValueError, match="unknown certificate 'lucky'"):
-        FillabilityVerdict("SteinFillable", "lucky")
-    with pytest.raises(ValueError):
-        FillabilityVerdict("Unknown", "positive-assembly")
-    with pytest.raises(ValueError):
-        FillabilityVerdict("SteinFillable", "none")
-    with pytest.raises(ValueError):
-        FillabilityVerdict("Maybe", "none")
+        FillabilityVerdict("lucky")
+    for certificate in CERTIFICATES:
+        verdict = FillabilityVerdict(certificate).verdict
+        assert verdict in VERDICTS
+        assert (verdict == "Unknown") == (certificate == "none")
 
 
 def test_verdict_json():
