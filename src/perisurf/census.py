@@ -58,8 +58,8 @@ without formatting any data set.  The action class is decided once per order
 multiset, by :func:`perisurf.core.classify` on its first data set: the
 residues of a valid data set never change its class (the lemma is at
 ``_cell``).  The class rule and the tuple of the four class labels
-(``core._CLASS_LABELS``, which the record reader and writer check against)
-live in :mod:`perisurf.core` alone.  Both JSON line formats, the file's
+(``core._CLASS_LABELS``, which a query's class filter and the record reader
+and writer check against) live in :mod:`perisurf.core` alone.  Both JSON line formats, the file's
 (``sort_keys=True``) and the CLI's (compact separators), are rendered from a
 record's integers by one function, byte for byte equal to ``json.dumps`` of
 :func:`record_to_json`; :func:`read_census` builds one ``ConePair`` per
@@ -384,6 +384,8 @@ class CensusQuery:
             for n in degrees:
                 _check_int(n, "degree")
             object.__setattr__(self, "degrees", degrees)
+        if self.action_class is not None:
+            _check_class(self.action_class)
 
     def genus_range(self) -> list[int]:
         if self.genus is not None:
@@ -488,6 +490,12 @@ def _record_line(r: CensusRecord, compact: bool = False) -> str:
             f'"quotient_genus": {d.quotient_genus}, "rotation": {d.rotation}}}')
 
 
+def _check_class(label) -> None:
+    if label not in _CLASS_LABELS:
+        raise ValueError(f"class must be one of {', '.join(_CLASS_LABELS)}, "
+                         f"got {label!r}")
+
+
 def _record_from_json(obj: dict, cones: dict) -> CensusRecord:
     # cones: the ConePair table of _data_set_from_json
     if not isinstance(obj, dict):
@@ -500,9 +508,7 @@ def _record_from_json(obj: dict, cones: dict) -> CensusRecord:
     g, label, verified = obj["genus"], obj["class"], obj["polygon_verified"]
     if type(g) is not int:
         raise ValueError(f"genus must be an integer, got {g!r}")
-    if label not in _CLASS_LABELS:
-        raise ValueError(f"class must be one of {', '.join(_CLASS_LABELS)}, "
-                         f"got {label!r}")
+    _check_class(label)
     # by identity: 1 == True and 0.0 == False
     if verified is not None and verified is not True and verified is not False:
         raise ValueError("polygon_verified must be true, false or null, "

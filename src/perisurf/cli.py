@@ -359,9 +359,8 @@ def _cmd_profile(args):
     else:
         pp = build_profile(args.p, args.q, args.K, args.H,
                            peak=args.peak, **samples)
-    # the search keeps only pass or fail: it drops a shape at its first
-    # failure and records no inconclusive samples, so this pass builds the
-    # report for both paths
+    # the search keeps only pass or fail and records no inconclusive
+    # samples, so this pass builds the report for both paths
     report = verify_profile(pp, args.tolerance)
     if args.csv:
         write_profile_csv(pp, args.csv)
@@ -504,7 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--csv", metavar="PATH", help="dump r,f0,g0 samples")
     p.add_argument("--search", action="store_true",
-                   help="scan (K,H,peak) shapes instead of building one")
+                   help="search for a verifying shape instead of building "
+                        "one")
     p.add_argument("--candidates", type=_count, default=1000,
                    help="search budget with --search")
 

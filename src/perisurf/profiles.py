@@ -12,12 +12,12 @@ plan is built for its caller alone), and the condition values are computed
 over a window of samples in one pass.  One scan yields a window's
 inconclusive values and definite violations in grid order, and walks the
 samples only when some value is not clearly of the wanted sign.
-Verification reads all of it; the search reads it arc by arc, drops a shape
-at its first definite violation, and decides the corner once per ``K`` and
-the binding arc once per ``H``.  The per-sample loops multiply floats only:
-the integers ``p``, ``q``, ``q K`` and ``p K`` are converted once, by the
-conversion an int operand gets anyway, so every sample and every report is
-the one the mixed int and float products give.
+Verification reads all of it.  The search builds one shape, the first in
+the corner, and keeps only whether its scan found a definite violation;
+its docstring states why that shape decides.  The per-sample loops multiply
+floats only: the integers ``p``, ``q``, ``q K`` and ``p K`` are converted
+once, by the conversion an int operand gets anyway, so every sample and
+every report is the one the mixed int and float products give.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 
 _BINDING_END = 0.25
 _COLLAR_START = 0.75
@@ -355,22 +355,51 @@ def binding_symplectic_deviation(pp: ProfilePair) -> float:
 def search_profiles(p: int, q: int, *, candidates: int = 1000,
                     samples: int = 256,
                     tolerance: float = 1e-9) -> ProfilePair | None:
-    """Scan a grid of ``(K, H, peak)`` shapes for a verifying profile.
+    """Decide whether the slope ``q/p`` has a verifying profile, from the
+    first shape in the corner.
 
-    Unlike :func:`build_profile` this accepts negative ``p`` so that both
-    orientations of a slope can be probed; it returns the first profile
-    passing :func:`verify_profile`, or ``None`` when every candidate fails.
-    Each shape is built and checked one arc at a time and dropped at the
-    first arc with a definite violation, so an infeasible shape costs the
-    arcs up to that one rather than the whole grid.  The corner is decided
-    once per ``K``, and a violation on the binding arc, which reads ``H``
-    alone, once per ``H``.  The outcome is the one
-    ``verify_profile(...).ok`` gives, from the same floats at the same
-    tolerance.  ``candidates`` caps the shapes tried, skipped ones
-    included, and must be at least 1.
+    Unlike :func:`build_profile` this accepts negative ``p``, so that both
+    orientations of a slope can be probed.  ``K`` is the least offset in
+    1..10 that puts the collar end in the corner.  The search builds the
+    shape ``(K, H, peak) = (K, 1.0, 1.0)`` and returns it when its scan at
+    ``tolerance`` finds no definite violation of the conditions of
+    :func:`verify_profile`; otherwise, or when there is no such ``K``, it
+    returns ``None``.  ``candidates`` counts shapes in the order of the
+    grid of ``K`` and ``H`` in 1..10 with ten peaks each, 100 per ``K``, so
+    this shape is candidate ``100 (K - 1) + 1`` and a smaller budget
+    returns ``None``.  It must be at least 1.
 
-    Every sample is built in floats only and is the one
-    :func:`build_profile`'s shape arithmetic gives.
+    Lemma: the shape fails only where every later shape of that grid fails
+    too.  In exact arithmetic, with the Hermite arc on
+    ``[a, b] = [1/4, 3/4]`` and ``t`` its parameter:
+
+    1. The binding arc, ``f = 2H - r^2`` and ``g = r^2``, has contact value
+       ``f g' - f' g = 4Hr > 0`` and symplectic value
+       ``p f' + q g' = 2r(q - p)``, which reads neither ``H``, ``K`` nor
+       the peak.
+    2. The corner ``-p - qK < 0 < -q + pK`` reads ``K`` alone; no ``K >= 1``
+       meets it when ``p < 0``.
+    3. The collar's values are exact: contact ``K(p^2 + q^2) > 0`` and
+       symplectic ``-(p^2 + q^2) < 0``.
+    4. The Hermite arc's symplectic values peak at the arc's ends, where
+       they are the binding arc's and the collar's: for the bump-free shape
+       ``p f + q g`` is a cubic in ``t`` with ``t^3`` coefficient
+       ``4pH + p^2 + q^2 + 3(q - p)/8 > 0`` when ``p >= 1``, so its slope
+       is a convex quadratic.
+    5. For the bump-free shape, the Hermite arc's contact numerator
+       ``f dg/dt - df/dt g`` is a quartic in ``t`` (the ``t^5`` terms
+       cancel) and is positive on ``[0, 1]``.  ``tests/test_profiles.py``
+       checks this exactly, by a Sturm sequence over ``Fraction``, at the
+       first corner ``K`` and ``H = 1`` of each slope with ``p`` in 1..9
+       and ``-3p <= q < 2p`` and of far slopes; elsewhere it rests on scans
+       against the grid search that ``tests/reference.py`` keeps.
+
+    So the shape fails only on the binding arc, where ``q > p``, and there
+    every later shape fails as well.  At ``q = p`` the exact value is 0,
+    and a tolerance with no band leaves the verdict to the rounding of the
+    binding arc, which reads ``H``; ``tests/search_golden.json`` pins the
+    search to the grid's outcomes there.  Every sample is built in floats
+    only and is the one :func:`build_profile`'s shape arithmetic gives.
     """
     if candidates < 1:
         raise ValueError(f"candidates must be at least 1, got {candidates}")
@@ -378,49 +407,14 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
         raise ValueError("p must be nonzero")
     _require_lowest_terms(p, q)
     _require_verifiable(samples)
-    plan = _plan(samples)
-    peaks = (1.0, 0.5, 0.75, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
-    # the corner depends on K alone, so it is decided once per K
-    corner_ks = {K for K in range(1, 11) if _in_corner(p, q, K)}
-    # the binding arc depends on H alone: an H whose shape failed there
-    # fails there again, from the same floats, whatever K and peak are
-    doomed_hs = set()
-    for n, (K, H) in enumerate(product(range(1, 11), range(1, 11))):
-        # the budget counts the shapes in order, skipped ones included
-        budget = candidates - n * len(peaks)
-        if budget <= 0:
-            break
-        if K not in corner_ks or H in doomed_hs:
-            continue  # verification cannot pass
-        for peak in peaks[:budget]:
-            grid, f0, g0 = [], [], []
-            arcs = _profile_points(p, q, K, float(H), peak, plan)
-            for arc, (rs, fs, gs) in enumerate(arcs):
-                lo = max(len(grid) - 1, 0)
-                grid += rs
-                f0 += fs
-                g0 += gs
-                # the stencils that lie on the arcs so far
-                end = len(grid) if len(grid) == samples else len(grid) - 1
-                if any(definite for *_, definite in _findings(
-                        grid, f0, g0, p, q, lo, end, tolerance)):
-                    break
-            else:
-                return ProfilePair(tuple(grid), tuple(f0), tuple(g0),
-                                   p, q, K, float(H))
-            # ``arc <= 1`` would give the same results: arc is 0 whenever
-            # this line ran in the scans that CHANGES.md records.  A (K, H)
-            # tries peak 1.0 first, which adds no bump, and a bump-free
-            # shape that passed the binding arc always passed the rest.
-            # The collar's values are exact, K(p^2 + q^2) > 0 and
-            # -(p^2 + q^2) < 0.  The Hermite arc's symplectic values peak,
-            # in exact arithmetic, at an end of the arc, where they are the
-            # binding arc's or the collar's.  Its contact values have no
-            # such bound, and rest on the scans.
-            if arc == 0:  # the other peaks of this H fail there as well
-                doomed_hs.add(H)
-                break
-    return None
+    K = next((K for K in range(1, 11) if _in_corner(p, q, K)), None)
+    if K is None or candidates <= 100 * (K - 1):
+        return None
+    pp = _assemble_profile(p, q, K, 1.0, samples=samples)
+    if any(definite for *_, definite in _findings(
+            pp.grid, pp.f0, pp.g0, p, q, 0, samples, tolerance)):
+        return None
+    return pp
 
 
 def write_profile_csv(pp: ProfilePair, path: str) -> None:

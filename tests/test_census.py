@@ -301,6 +301,10 @@ def test_census_query_validation():
                        ({"genus": 2, "degrees": (2.5,)}, "degree")):
         with pytest.raises(TypeError, match=f"^{field} must be an integer"):
             CensusQuery(**bad)
+    for bad in ("type-1", "Type2", ""):
+        with pytest.raises(ValueError, match=f"class must be one of .*, "
+                                             f"got {bad!r}"):
+            CensusQuery(genus=2, action_class=bad)
     with pytest.raises(ValueError):
         census(CensusQuery(genus=1), workers=1)  # unbounded without degrees
     for bad in (0, -3):

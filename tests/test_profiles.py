@@ -1,11 +1,11 @@
 import csv
 import hashlib
-import importlib.util
 import json
 import math
 import struct
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from itertools import chain, product
 from pathlib import Path
 
@@ -14,8 +14,11 @@ from hypothesis import example, given, strategies as st
 
 import perisurf.profiles as profiles
 from perisurf.profiles import (
+    _BINDING_END,
+    _COLLAR_START,
     _assemble_profile,
     _condition_values,
+    _in_corner,
     _plan,
     binding_symplectic_deviation,
     build_profile,
@@ -287,36 +290,58 @@ BIT_SLOPES += [(99991, -99989), (1, 100000), (100000, -99999),
                (-99999, 100000), (7, 100000)]
 
 
+# The digest of the reference side of the test below is pinned in
+# float_loop_golden.json, which the same command regenerates.
+FLOAT_LOOP_GOLDEN = Path(__file__).with_name("float_loop_golden.json")
+FLOAT_LOOP_INPUTS = list(product(BIT_SLOPES, (1, 2, 3, 7), (1.0, 2.5, 6.0),
+                                 (1.0, 0.5, 2.0), (64, 256, 1024)))
+
+
+def _float_loop_digest(floats_of) -> dict:
+    """The number of ``FLOAT_LOOP_INPUTS`` and the sha256 of the bits of the
+    sequences that ``floats_of(p, q, K, H, peak, samples)`` yields for each
+    of them in turn."""
+    digest = hashlib.sha256()
+    for (p, q), K, H, peak, samples in FLOAT_LOOP_INPUTS:
+        for values in floats_of(p, q, K, H, peak, samples):
+            digest.update(_bits(values))
+    return {"profiles": len(FLOAT_LOOP_INPUTS), "sha256": digest.hexdigest()}
+
+
+def _program_floats(p, q, K, H, peak, samples):
+    # f0 and g0, and on the 64-sample grids the contact and symplectic values
+    pp = _assemble_profile(p, q, K, H, peak=peak, samples=samples)
+    yield pp.f0
+    yield pp.g0
+    if samples == 64:
+        yield from _condition_values(pp.grid, pp.f0, pp.g0, p, q, 0, samples)
+
+
+def _mixed_product_floats(p, q, K, H, peak, samples):
+    # the same sequences from the int operands and the derivative pass
+    plan = _plan(samples)
+    _, f0, g0 = zip(*_profile_points_of_mixed_products(p, q, K, H, peak, plan))
+    f0, g0 = tuple(chain(*f0)), tuple(chain(*g0))
+    yield f0
+    yield g0
+    if samples == 64:
+        df = _reference_derivatives(plan.grid, f0)
+        dg = _reference_derivatives(plan.grid, g0)
+        yield [f * dg_ - df_ * g
+               for f, g, df_, dg_ in zip(f0[1:], g0[1:], df[1:], dg[1:])]
+        yield [p * df_ + q * dg_ for df_, dg_ in zip(df, dg)]
+
+
 def test_float_loops_give_the_samples_of_the_mixed_products():
     # the loops convert p, q, q K and p K to floats once and skip a zero
     # bump; every sample is the double the int operands gave, and so is
     # every condition value on the 64-sample grids
-    profiles_built = 0
-    for (p, q), K, H, peak, samples in product(
-            BIT_SLOPES, (1, 2, 3, 7), (1.0, 2.5, 6.0), (1.0, 0.5, 2.0),
-            (64, 256, 1024)):
-        pp = _assemble_profile(p, q, K, H, peak=peak, samples=samples)
-        _, f0, g0 = zip(*_profile_points_of_mixed_products(
-            p, q, K, H, peak, _plan(samples)))
-        f0, g0 = tuple(chain(*f0)), tuple(chain(*g0))
-        assert _bits(pp.f0) + _bits(pp.g0) == _bits(f0) + _bits(g0), \
-            (p, q, K, H, peak, samples)
-        profiles_built += 1
-        if samples != 64:
-            continue
-        contact, symplectic = _condition_values(pp.grid, pp.f0, pp.g0, p, q,
-                                                0, samples)
-        df = _reference_derivatives(pp.grid, f0)
-        dg = _reference_derivatives(pp.grid, g0)
-        assert _bits(contact) == _bits(
-            [f * dg_ - df_ * g for f, g, df_, dg_
-             in zip(f0[1:], g0[1:], df[1:], dg[1:])])
-        assert _bits(symplectic) == _bits(
-            [p * df_ + q * dg_ for df_, dg_ in zip(df, dg)])
-    assert profiles_built == 8640
+    golden = json.loads(FLOAT_LOOP_GOLDEN.read_text())
+    assert golden["profiles"] == 8640
+    assert _float_loop_digest(_program_floats) == golden
 
 
-# The outcomes of reference._reference_search on the inputs of the two
+# The outcomes of reference._reference_search on the inputs of the
 # reference comparisons below are pinned in search_golden.json, which the
 # same command regenerates.
 SEARCH_GOLDEN = Path(__file__).with_name("search_golden.json")
@@ -325,9 +350,12 @@ SEARCH_SLOPES = [(p, q) for p in (*range(1, 10), *range(-9, 0))
                  for q in range(-27, 19) if math.gcd(abs(p), abs(q)) == 1]
 # slopes p < q < 2p, whose shapes all fail on the binding arc at a tight
 # tolerance; at 1.0 the search accepts a shape for 2/3 (K = 2, H = 1.0, at
-# candidate 101), so the pruning is pinned on a found shape as well
+# candidate 101), so a found shape is pinned as well
 ARC_SLOPES = ((2, 3), (7, 12), (9, 17))
 ARC_TOLERANCES = (0.25, 1.0, math.nan)
+# tolerances at the edges of the band: none (-1), tight, wide and all of R;
+# with no band the rounding of the binding arc's values decides 1/1
+EDGE_TOLERANCES = (-1, 1e-3, 5, math.inf)
 
 
 def _pinned(outcomes: list) -> dict:
@@ -348,7 +376,11 @@ def _reference_search_outcomes() -> dict:
         f"binding_arc[{tolerance}]": _pinned([
             _reference_search(p, q, samples=256, tolerance=tolerance)[0]
             for p, q in ARC_SLOPES])
-        for tolerance in ARC_TOLERANCES}}
+        for tolerance in ARC_TOLERANCES}, **{
+        f"tolerance[{tolerance}]": _pinned([
+            _reference_search(p, q, samples=64, tolerance=tolerance)[0]
+            for p, q in SEARCH_SLOPES])
+        for tolerance in EDGE_TOLERANCES}}
 
 
 def test_search_matches_reference_search():
@@ -362,19 +394,26 @@ def test_search_matches_reference_search():
     assert _pinned(outcomes) == golden["budgets"]
 
 
-def test_search_decides_each_binding_arc_once(monkeypatch):
-    # for p < q < 2p every shape fails on the binding arc, which depends on
-    # H alone: one profile per H value instead of one per shape (900)
+def test_search_builds_one_shape_in_the_corner_and_none_outside_it(
+        monkeypatch):
+    # one slope of each stratum of perfbench's slope_strata: 0 < q < p and
+    # -p < q < 0 verify their first shape in the corner, p < q < 2p fails
+    # it on the binding arc, and q < -p has no K in the corner
     built = []
     profile_points = profiles._profile_points
 
     def counting(*args):
-        built.append(args)
+        built.append(args[:5])
         return profile_points(*args)
 
     monkeypatch.setattr(profiles, "_profile_points", counting)
-    assert search_profiles(7, 12) is None
-    assert 1 <= len(built) <= 10
+    for (p, q), found, shapes in (((5, 2), True, [(5, 2, 1, 1.0, 1.0)]),
+                                  ((7, 12), False, [(7, 12, 2, 1.0, 1.0)]),
+                                  ((7, -2), True, [(7, -2, 1, 1.0, 1.0)]),
+                                  ((2, -5), False, [])):
+        built.clear()
+        assert (search_profiles(p, q) is not None) == found
+        assert built == shapes
 
 
 @pytest.mark.parametrize("tolerance", ARC_TOLERANCES)
@@ -387,17 +426,104 @@ def test_binding_arc_pruning_matches_reference_search(tolerance):
     assert _pinned(outcomes) == golden[f"binding_arc[{tolerance}]"]
 
 
-def test_profile_sweep_script_maps_the_feasible_region(capsys, monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "profile_sweep.py"
-    spec = importlib.util.spec_from_file_location("profile_sweep", path)
-    script = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules
-    monkeypatch.setitem(sys.modules, "profile_sweep", script)
-    spec.loader.exec_module(script)
-    assert script.main(["--window", "6"]) == 0
-    out = capsys.readouterr().out
-    assert "24 feasible slopes of 94 tested" in out
-    assert "unexpected misses" not in out
+@pytest.mark.parametrize("tolerance", EDGE_TOLERANCES)
+def test_search_matches_reference_search_at_edge_tolerances(tolerance):
+    outcomes = [search_profiles(p, q, samples=64, tolerance=tolerance)
+                for p, q in SEARCH_SLOPES]
+    golden = json.loads(SEARCH_GOLDEN.read_text())
+    assert _pinned(outcomes) == golden[f"tolerance[{tolerance}]"]
+
+
+# Exact polynomials in t for step 5 of the search_profiles lemma: lists of
+# Fraction coefficients, the constant term first, with no trailing zero.
+
+
+def _poly(*terms):
+    # the sum of the (coefficient, polynomial) terms
+    out = [Fraction(0)] * max(len(poly) for _, poly in terms)
+    for c, poly in terms:
+        for i, x in enumerate(poly):
+            out[i] += c * x
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _product(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly((1, out))
+
+
+def _derivative(poly):
+    return _poly((1, [i * c for i, c in enumerate(poly)][1:] or [0]))
+
+
+def _value(poly, t):
+    return sum(c * t ** i for i, c in enumerate(poly))
+
+
+def _remainder(a, b):
+    a = list(a)
+    while len(a) >= len(b):
+        k, shift = a[-1] / b[-1], len(a) - len(b)
+        a = _poly((1, a), (-k, [0] * shift + b))
+    return a
+
+
+def _roots_in_unit_interval(poly):
+    """The number of distinct roots in (0, 1] of ``poly``, by Sturm's
+    theorem: the sign changes of its Sturm sequence at 0 less those at 1."""
+    sturm = [poly, _derivative(poly)]
+    while sturm[-1]:
+        sturm.append(_poly((-1, _remainder(sturm[-2], sturm[-1]))))
+
+    def changes(t):
+        signs = [v > 0 for v in (_value(s, t) for s in sturm[:-1]) if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return changes(0) - changes(1)
+
+
+# the cubic Hermite basis h00, h10, h01 and h11 on [0, 1]
+HERMITE_BASIS = ([1, 0, -3, 2], [0, 1, -2, 1], [0, 0, 3, -2], [0, 0, -1, 1])
+# the slopes of perfbench's slope_strata(), restated, and the far slopes of
+# BIT_SLOPES with a collar offset in the corner
+STURM_SLOPES = [(p, q) for p in range(1, 10) for q in range(-3 * p, 2 * p)
+                if q != 0 and math.gcd(p, abs(q)) == 1]
+STURM_SLOPES += [(p, q) for p, q in BIT_SLOPES[-5:] if p > 0]
+
+
+def test_hermite_arc_contact_numerator_is_positive_exactly():
+    # step 5 of the search_profiles lemma: on the Hermite arc of the
+    # bump-free shape at the first corner K and H = 1, f g' - f' g (in the
+    # arc's parameter t) is a quartic with positive ends and no root in
+    # [0, 1].  Step 4 rides along: p f + q g has a positive t^3 term, so
+    # its slope is a convex quadratic and peaks at an end of the arc
+    a, b = Fraction(_BINDING_END), Fraction(_COLLAR_START)
+    width = b - a
+    shapes = 0
+    for p, q in STURM_SLOPES:
+        # the least K in the corner is at most |q| + 1; none is when q <= -p
+        K = next((K for K in range(1, abs(q) + 2) if _in_corner(p, q, K)),
+                 None)
+        if K is None:
+            assert q <= -p
+            continue
+        f = _poly(*zip((2 - a * a, -2 * a * width, -b * p - q * K,
+                        -p * width), HERMITE_BASIS))
+        g = _poly(*zip((a * a, 2 * a * width, -b * q + p * K, -q * width),
+                       HERMITE_BASIS))
+        contact = _poly((1, _product(f, _derivative(g))),
+                        (-1, _product(_derivative(f), g)))
+        assert len(contact) == 5, (p, q)
+        assert _value(contact, 0) > 0 and _value(contact, 1) > 0, (p, q)
+        assert _roots_in_unit_interval(contact) == 0, (p, q)
+        assert _poly((p, f), (q, g))[3] > 0, (p, q)
+        shapes += 1
+    assert shapes == 86
 
 
 if __name__ == "__main__":
@@ -407,3 +533,6 @@ if __name__ == "__main__":
     SEARCH_GOLDEN.write_text(json.dumps(
         _reference_search_outcomes(), indent=1) + "\n")
     print(f"search outcomes written to {SEARCH_GOLDEN}", file=sys.stderr)
+    FLOAT_LOOP_GOLDEN.write_text(json.dumps(
+        _float_loop_digest(_mixed_product_floats), indent=1) + "\n")
+    print(f"float-loop digest written to {FLOAT_LOOP_GOLDEN}", file=sys.stderr)
