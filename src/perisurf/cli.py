@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -58,68 +57,44 @@ def _parse_at(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _degrees(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated degrees, got {text!r}") from None
+# The bounded arguments.  Each row gives the converter, what the text must
+# be, the least and greatest value allowed (None where a side has no
+# bound) and the message for a value outside them; the README's "Limits"
+# table states every bound.
+_LIMITS = {
+    # build_profile plus verify_profile took 0.12 s and peaked at 54 MB at
+    # 10^5 samples, against 1.2 s and 390 MB at 10^6 (Python 3.11, 2 vCPUs)
+    "samples": (int, "an integer", None, 100_000, "at most {hi} samples"),
+    # The default collar offset has a closed form, so the bound is not there
+    # for time: within it every profile value is a float far from overflow.
+    "profile": (int, "an integer", -100_000, 100_000,
+                "at most {hi} in absolute value"),
+    "count": (int, "a positive integer", 1, None,
+              "expected a positive integer"),
+    "finite": (float, "a finite number", -sys.float_info.max,
+               sys.float_info.max, "expected a finite number"),
+    "degrees": (lambda text: tuple(int(x) for x in text.split(",")),
+                "comma-separated degrees", None, None, None),
+}
 
 
-def _count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _limited(name: str):
+    """The argparse type of the row ``name`` of ``_LIMITS``."""
+    convert, expects, lo, hi, past = _LIMITS[name]
 
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {expects}, got {text!r}") from None
+        # NaN compares false to both bounds, so it is outside them
+        if not ((lo is None or lo <= value) and (hi is None or value <= hi)):
+            raise argparse.ArgumentTypeError(
+                f"{past.format(hi=hi)}, got {text!r}")
+        return value
 
-def _finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number, got {text!r}")
-    return value
-
-
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from None
-
-
-# build_profile plus verify_profile took 0.12 s and peaked at 54 MB at 10^5
-# samples, against 1.2 s and 390 MB at 10^6 (Python 3.11, 2 vCPUs)
-_MAX_SAMPLES = 100_000
-
-
-def _sample_count(text: str) -> int:
-    value = _integer(text)
-    if value > _MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(
-            f"at most {_MAX_SAMPLES} samples, got {text!r}")
-    return value
-
-
-# The default collar offset has a closed form, so the bound is not there
-# for time: within it every profile value is a float far from overflow.
-_MAX_PROFILE_INT = 100_000
-
-
-def _profile_int(text: str) -> int:
-    value = _integer(text)
-    if abs(value) > _MAX_PROFILE_INT:
-        raise argparse.ArgumentTypeError(
-            f"at most {_MAX_PROFILE_INT} in absolute value, got {text!r}")
-    return value
+    return parse
 
 
 def _parse_edge(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -148,9 +123,10 @@ def _build_assembly(args):
 
     if args.file:
         if args.file == "-":
-            payload = json.load(sys.stdin)
+            # JSON is UTF-8 whatever the locale
+            payload = json.load(sys.stdin.buffer)
         else:
-            with open(args.file) as fh:
+            with open(args.file, encoding="utf-8") as fh:
                 payload = json.load(fh)
         return assembly_from_json(payload)
     pieces = tuple(_parse_marked(p) for p in args.pieces)
@@ -487,25 +463,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("profile", _cmd_profile,
             "build and verify a filling profile for slope q/p "
             "(exit 1 when verification fails)")
-    bound = f"at most {_MAX_PROFILE_INT} in absolute value"
-    p.add_argument("p", type=_profile_int, help=f"slope denominator, {bound}")
-    p.add_argument("q", type=_profile_int, help=f"slope numerator, {bound}")
-    p.add_argument("--K", type=_profile_int, default=None,
+    *_, most, past = _LIMITS["profile"]
+    bound = past.format(hi=most)
+    p.add_argument("p", type=_limited("profile"),
+                   help=f"slope denominator, {bound}")
+    p.add_argument("q", type=_limited("profile"),
+                   help=f"slope numerator, {bound}")
+    p.add_argument("--K", type=_limited("profile"), default=None,
                    help=f"collar offset, {bound} "
                         "(default: smallest workable)")
-    p.add_argument("--H", type=_finite, default=None,
+    p.add_argument("--H", type=_limited("finite"), default=None,
                    help="binding height (default: clears the collar)")
-    p.add_argument("--peak", type=_finite, default=1.0,
+    p.add_argument("--peak", type=_limited("finite"), default=1.0,
                    help="crest scale of the middle arc")
-    p.add_argument("--samples", type=_sample_count, default=None,
-                   help=f"grid size, at most {_MAX_SAMPLES} (default: 1024, "
-                        "or 256 with --search)")
+    p.add_argument("--samples", type=_limited("samples"), default=None,
+                   help=f"grid size, at most {_LIMITS['samples'][3]} "
+                        "(default: 1024, or 256 with --search)")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--csv", metavar="PATH", help="dump r,f0,g0 samples")
     p.add_argument("--search", action="store_true",
                    help="search for a verifying shape instead of building "
                         "one")
-    p.add_argument("--candidates", type=_count, default=1000,
+    p.add_argument("--candidates", type=_limited("count"), default=1000,
                    help="search budget with --search")
 
     p = add("enumerate", _cmd_enumerate,
@@ -520,11 +499,11 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--genus", type=int)
     group.add_argument("--max-genus", type=int, dest="max_genus")
-    p.add_argument("--degrees", metavar="N,N,...", type=_degrees,
+    p.add_argument("--degrees", metavar="N,N,...", type=_limited("degrees"),
                    help="restrict to these degrees")
     p.add_argument("--class", dest="action_class", choices=_CLASS_LABELS,
                    help="keep one action class")
-    p.add_argument("--workers", type=_count, default=None,
+    p.add_argument("--workers", type=_limited("count"), default=None,
                    help="accepted for compatibility; the census always "
                         "runs in one process, whatever the value")
     p.add_argument("--oracle", action="store_true",

@@ -9,9 +9,9 @@ failed.  A profile is built as three arcs (binding arc, Hermite arc, collar)
 from a plan of the sample count, which holds the grid and the Hermite basis
 and is kept for the last few counts up to the CLI's sample bound (a larger
 plan is built for its caller alone), and the condition values are computed
-over a window of samples in one pass.  One scan yields a window's
-inconclusive values and definite violations in grid order, and walks the
-samples only when some value is not clearly of the wanted sign.
+in one pass.  One scan yields the inconclusive values and definite
+violations in grid order, and walks the samples only when some value is not
+clearly of the wanted sign.
 Verification reads all of it.  The search builds one shape, the first in
 the corner, and keeps only whether its scan found a definite violation;
 its docstring states why that shape decides.  The per-sample loops multiply
@@ -281,26 +281,24 @@ def _clear(contact, symplectic, tolerance: float) -> bool:
             and not math.isnan(sum(contact) + sum(symplectic)))
 
 
-def _findings(grid, f0, g0, p: int, q: int, lo: int, hi: int,
-              tolerance: float):
+def _findings(grid, f0, g0, p: int, q: int, tolerance: float):
     """Yield ``(r, condition, value, definite)`` for each condition value of
-    samples ``lo`` to ``hi - 1`` (see :func:`_condition_values`) that is not
-    clearly of the wanted sign, in grid order, the contact value first.
+    the samples (see :func:`_condition_values`) that is not clearly of the
+    wanted sign, in grid order, the contact value first.
 
     ``definite`` is false for a value with ``abs(value) <= tolerance`` and
     true for any other that is not positive (contact) or is positive
     (symplectic), so a NaN contact value is a violation and a NaN tolerance
-    has no band.  A window that :func:`_clear` passes is not scanned.
+    has no band.  Values that :func:`_clear` passes are not scanned.
     """
-    contact, symplectic = _condition_values(grid, f0, g0, p, q, lo, hi)
+    contact, symplectic = _condition_values(grid, f0, g0, p, q, 0, len(grid))
     if _clear(contact, symplectic, tolerance):
         return
-    start = max(lo, 1)
-    if not lo:  # the core, sample 0, has a symplectic value only
-        s = symplectic[0]
-        if abs(s) <= tolerance or s > 0:
-            yield grid[0], "symplectic", s, not abs(s) <= tolerance
-    for r, c, s in zip(grid[start:], contact, symplectic[start - lo:]):
+    # the core, sample 0, has a symplectic value only
+    s = symplectic[0]
+    if abs(s) <= tolerance or s > 0:
+        yield grid[0], "symplectic", s, not abs(s) <= tolerance
+    for r, c, s in zip(grid[1:], contact, symplectic[1:]):
         if abs(c) <= tolerance or not c > 0:
             yield r, "contact", c, not abs(c) <= tolerance
         if abs(s) <= tolerance or s > 0:
@@ -325,8 +323,7 @@ def verify_profile(pp: ProfilePair, tolerance: float = 1e-9) -> ConditionReport:
     _require_verifiable(samples)
     if not len(pp.f0) == len(pp.g0) == samples:
         raise ValueError("grid, f0 and g0 differ in length")
-    findings = list(_findings(pp.grid, pp.f0, pp.g0, pp.p, pp.q, 0, samples,
-                              tolerance))
+    findings = list(_findings(pp.grid, pp.f0, pp.g0, pp.p, pp.q, tolerance))
     # (r, condition, value) of each definite violation, in grid order
     violations = [f[:3] for f in findings if f[3]]
     if not _in_corner(pp.p, pp.q, pp.K):
@@ -412,7 +409,7 @@ def search_profiles(p: int, q: int, *, candidates: int = 1000,
         return None
     pp = _assemble_profile(p, q, K, 1.0, samples=samples)
     if any(definite for *_, definite in _findings(
-            pp.grid, pp.f0, pp.g0, p, q, 0, samples, tolerance)):
+            pp.grid, pp.f0, pp.g0, p, q, tolerance)):
         return None
     return pp
 

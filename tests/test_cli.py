@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from perisurf.cli import _profile_int, _sample_count, main
+from perisurf.cli import _LIMITS, main
 from perisurf.core import ParseError, parse_data_set
 from perisurf.gluing import Assembly, assembly_to_json, build_edge
 
@@ -218,10 +222,36 @@ def test_assemble_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["genus"] == 3
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(json.dumps(payload).encode())))
     code, out, _ = run(["assemble", "--file", "-"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "(6_+,0;(1,2),(1,3),(1,3),(5,6),[4])"
+
+
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_file_is_read_as_utf8_whatever_the_locale(tmp_path, from_stdin):
+    # the pieces carry subscript signs, which are not ASCII
+    data = json.dumps({
+        "pieces": [HEX_PLUS.replace("_+", "\u208a"),
+                   PIECE_B.replace("_+", "\u208a")],
+        "edges": [{"left": [0, 3], "right": [1, 3]}],
+        "self_edges": []}, ensure_ascii=False).encode("utf-8")
+    assert not data.isascii()
+    path = tmp_path / "assembly.json"
+    path.write_bytes(data)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "PYTHON")) and k != "LANG"}
+    env.update(LC_ALL="POSIX", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "perisurf.cli", "fill", "--file",
+         "-" if from_stdin else str(path)],
+        input=data if from_stdin else None, env=env, capture_output=True,
+        timeout=60, check=False)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode().splitlines()[0] == \
+        "SteinFillable (positive-assembly)"
 
 
 @pytest.mark.parametrize("command", ["assemble", "fill"])
@@ -366,7 +396,8 @@ def test_profile_samples_apply_to_both_paths(capsys):
 
 
 def test_profile_samples_have_an_upper_bound(capsys):
-    assert _sample_count("100000") == 100000  # the bound itself is accepted
+    # the bound itself is accepted
+    assert run(["profile", "2", "1", "--samples", "100000"], capsys)[0] == 0
     for argv in (["--samples", "100001"], ["--search", "--samples", "10**6"],
                  ["--samples", "1e3"]):
         code, out, err = run(["profile", "2", "1", *argv], capsys)
@@ -375,10 +406,15 @@ def test_profile_samples_have_an_upper_bound(capsys):
         ["profile", "2", "1", "--samples", "100001"], capsys)[2]
 
 
-def test_profile_integers_have_a_bound():
+def test_profile_integers_have_a_bound(capsys):
     # the bound itself is accepted, on either side of zero
-    for text in ("100000", "-100000"):
-        assert _profile_int(text) == int(text)
+    for argv in (["100000", "1"], ["5", "1", "--K", "100000"],
+                 # the search picks its own K, so the given one is only parsed
+                 ["5", "1", "--search", "--K", "-100000"],
+                 # an infinite tolerance leaves every value undecided, and
+                 # the corner holds
+                 ["99999", "-100000", "--K", "0", "--tolerance", "inf"]):
+        assert run(["profile", *argv], capsys)[0] == 0, argv
 
 
 @pytest.mark.parametrize("name,argv", [
@@ -494,6 +530,26 @@ def test_count_options_must_be_positive(capsys):
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, ""), argv
         assert "expected a positive integer" in err
+
+
+SUBCOMMANDS = ["validate", "genus", "classify", "polygon", "glue", "self-glue",
+               "assemble", "fill", "page", "veering", "surgery", "resolve",
+               "profile", "enumerate", "census"]
+
+
+@pytest.mark.parametrize("command", [[], *([c] for c in SUBCOMMANDS)],
+                         ids=["perisurf", *SUBCOMMANDS])
+def test_help_is_printed(capsys, command):
+    # a stray "%" in a help string fails only when the help is printed
+    code, out, err = run([*command, "--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: perisurf")
+    if command == ["profile"]:
+        text = " ".join(out.split())
+        *_, most, _ = _LIMITS["profile"]
+        for name in ("slope denominator", "slope numerator", "collar offset"):
+            assert f"{name}, at most {most} in absolute value" in text
+        assert f"grid size, at most {_LIMITS['samples'][3]} " in text
 
 
 def test_census_prints_json_lines_in_both_modes(capsys):

@@ -122,6 +122,99 @@ def test_readme_command_in_fresh_interpreter(argv, files, tmp_path):
     } == golden[_key(argv)], proc.stderr.decode()
 
 
+def _library_payload(argv: list[str]):
+    """The ``--json`` payload of a README command, from the library alone;
+    for ``polygon``, the payload's ``verification`` entry."""
+    import perisurf as ps
+
+    name, first = argv[0], argv[1] if len(argv) > 1 else None
+    if name == "validate":
+        from perisurf.core import validation_report_to_json
+
+        return validation_report_to_json(
+            ps.validate(ps.parse_data_set(first)))
+    if name == "genus":
+        return {"genus": ps.genus(ps.parse_data_set(first))}
+    if name == "classify":
+        ac = ps.classify(ps.parse_data_set(first))
+        return {"label": ac.label, "kind": ac.kind,
+                "irreducible": ac.irreducible}
+    if name == "polygon":
+        from perisurf.realization import realization_report_to_json
+
+        d = ps.parse_data_set(first)
+        return realization_report_to_json(
+            ps.verify_realization(ps.polygon_realization(d), d))
+    if name in ("glue", "self-glue"):
+        at = [int(k) for k in argv[argv.index("--at") + 1].split(":")]
+        sets = [ps.parse_data_set(a) for a in argv[1:argv.index("--at")]]
+        glued = ps.glue(*sets, *at) if name == "glue" else \
+            ps.self_glue(*sets, *at)
+        return ps.data_set_to_json(ps.canonicalize(glued)[0])
+    if name == "assemble":
+        from perisurf.gluing import build_edge, word_to_json
+
+        pieces = (ps.parse_data_set(argv[1]), ps.parse_data_set(argv[2]))
+        result = ps.assemble(ps.Assembly(
+            pieces, (build_edge(pieces, (0, 3), (1, 3)),)))
+        assert argv[3:] == ["--edge", "(3:1)~(3:2)"]
+        return {"data_set": ps.data_set_to_json(result.data_set),
+                "genus": ps.genus(result.data_set),
+                "word": word_to_json(result.word),
+                "boundary": [{"piece": e.piece, "mark": e.mark,
+                              "consumed": e.consumed,
+                              "output_index": e.output_index}
+                             for e in result.ledger.entries],
+                "mixed_signs": result.ledger.mixed_signs}
+    if name in ("page", "veering", "surgery", "resolve"):
+        from perisurf.openbook import descriptor_to_json, surgery_to_json
+
+        page = ps.page_descriptor(ps.parse_data_set(first))
+        return {"page": lambda: descriptor_to_json(page),
+                "veering": lambda: {"veering": ps.veering(page).value},
+                "surgery": lambda: surgery_to_json(
+                    ps.surgery_description(page)),
+                "resolve": lambda: descriptor_to_json(
+                    ps.integral_resolution(page))}[name]()
+    if name == "fill":
+        from perisurf.fillability import verdict_to_json
+
+        return verdict_to_json(ps.classify_marked(ps.parse_data_set(first)))
+    if name == "profile":
+        p, q = int(argv[1]), int(argv[2])
+        search = "--search" in argv
+        pp = ps.search_profiles(p, q) if search else ps.build_profile(p, q)
+        report = ps.verify_profile(pp)
+        payload = {"p": pp.p, "q": pp.q, "K": pp.K, "H": pp.H,
+                   "samples": len(pp.grid), "contact_ok": report.contact_ok,
+                   "symplectic_ok": report.symplectic_ok, "ok": report.ok,
+                   "first_violation": None, "inconclusive": 0}
+        assert report.first_violation is None and not report.inconclusive
+        return {**payload, "found": True} if search else payload
+    if name == "enumerate":
+        n, g = int(argv[1]), int(argv[2])
+        names = [ps.format_data_set(d) for d in ps.enumerate_data_sets(n, g)]
+        return {"degree": n, "genus": g, "count": len(names),
+                "data_sets": names}
+    assert argv[:3] == ["census", "--genus", "2"]
+    return {"records": len(ps.census(ps.CensusQuery(genus=2))),
+            "output": argv[argv.index("--output") + 1]}
+
+
+@pytest.mark.parametrize("argv,files", README_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+def test_json_payload_matches_the_library(argv, files, tmp_path, monkeypatch):
+    monkeypatch.delenv("PERISURF_FORMAT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--json"]) == 0
+    payload = json.loads(out.getvalue())
+    if argv[0] == "polygon":
+        payload = payload["verification"]
+    assert payload == _library_payload(argv)
+
+
 def test_golden_file_covers_exactly_the_readme_commands():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(_key(argv) for argv, _ in CASES)

@@ -319,7 +319,8 @@ def test_parse_expands_repetition_shorthand():
 def test_parse_errors_carry_positions():
     for bad in ["(bogus", "(5,0;(1,5)", "(5,0;(1,5)))", "5,0;(1,5)", "(5;0)",
                 "(5,0;(1,5),)", "(5,0,;(1,5))",
-                "(6,0;(1,0))", "(0,0;(1,2))", "(6_+,0;(1,2),(1,3),(1,6),[0])"]:
+                "(6,0;(1,0))", "(0,0;(1,2))", "(6_+,0;(1,2),(1,3),(1,6),[0])",
+                "(6_+,0;(1,2),(1,3),(1,6),[3)", "(5,0;(1,5,(1,5))"]:
         with pytest.raises(ParseError):
             ds(bad)
 

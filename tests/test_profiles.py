@@ -212,9 +212,9 @@ def test_sample_plan_memo_is_bounded():
 def test_sample_plans_above_the_cli_bound_are_not_kept():
     # the memo keeps plans up to the CLI's --samples bound; a larger plan is
     # built for its caller alone and leaves the memo as it was
-    from perisurf.cli import _MAX_SAMPLES
+    from perisurf.cli import _LIMITS
 
-    assert profiles._KEPT_SAMPLES == _MAX_SAMPLES
+    assert profiles._KEPT_SAMPLES == _LIMITS["samples"][3]
     info = profiles._sample_plan.cache_info
     search_profiles(5, 1)
     grid = build_profile(5, 1).grid
