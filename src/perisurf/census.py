@@ -49,7 +49,10 @@ census call checks each distinct polygon shape once, and
 :mod:`perisurf.realization` gives the lemma that makes that exact.  The
 cone tables, one ``ConePair`` and one ``"(c,order)"`` text per unit ``c``
 of each cone order, are likewise built once per call and shared by its
-cells.
+cells.  The cells are made one at a time, in census order, by a generator
+that holds the polygon checks and the cone tables; the CLI writes each
+cell's records as it is made, and :func:`census` still returns them all as
+one list.
 
 A cell's records are read from the integers the generator holds.  Each data
 set's text rendering is joined from per-cone strings, and the cell is sorted
@@ -77,7 +80,7 @@ import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product, repeat
+from itertools import chain, combinations_with_replacement, product, repeat
 from math import gcd, isqrt
 from operator import getitem, itemgetter
 from pathlib import Path
@@ -257,6 +260,8 @@ def _cell(n: int, g: int, tables: tuple[dict[int, dict[int, ConePair]],
         raise ValueError(f"degree must be positive, got {n}")
     if g < 0:
         raise ValueError(f"genus must be non-negative, got {g}")
+    if n == 1:
+        return []  # no unit rotates and no cone order divides 1
     if tables is None:
         tables = ({}, {})
     cones, texts = tables
@@ -401,51 +406,55 @@ class CensusRecord:
     polygon_verified: bool | None
 
 
-def _build_record(d: DataSet, g: int, label: str,
-                  checked: dict[tuple[int, int, int, int],
-                                tuple[bool, int | None, bool]]
-                  ) -> CensusRecord:
-    # d comes canonical and valid from the enumerators, with genus g;
-    # checked is realization's per-call table of polygon checks
-    return CensusRecord(d, g, label, _verified(d, g, checked)
-                        if label == "type1-irreducible" else None)
-
-
 def census(query: CensusQuery, *, workers: int | None = None,
            oracle: bool = False) -> list[CensusRecord]:
     """Run a census; deterministic output order (genus, then degree).
 
-    Every degree/genus cell runs in order in the calling process.  The
-    class filter drops rows before their records, and polygons, are built.
-    ``workers`` is accepted for compatibility and no longer changes how the
-    census runs; it raises ``ValueError`` when below 1.
+    Every degree/genus cell runs in order in the calling process, and the
+    records of all of them come back as one list.  The class filter drops
+    rows before their records, and polygons, are built.  ``workers`` is
+    accepted for compatibility and no longer changes how the census runs;
+    it raises ``ValueError`` when below 1.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    return list(chain.from_iterable(_census_cells(query, oracle)))
+
+
+def _census_cells(query: CensusQuery, oracle: bool = False):
+    # the records of each degree/genus cell of the query, one list per
+    # cell, in census order and made as they are read.  A query the census
+    # refuses raises here, before any cell is made.
+    genera = query.genus_range()
+    if query.degrees is None and genera[0] < 2:
+        raise ValueError(
+            "a census below genus 2 has infinitely many data sets; "
+            "restrict it with a degree filter")
+    for n in query.degrees or ():
+        if n < 1:
+            raise ValueError(f"degree must be positive, got {n}")
+    return _cell_records(query, genera, oracle)
+
+
+def _cell_records(query: CensusQuery, genera: list[int], oracle: bool):
+    # the generator of _census_cells.  Its memos, the polygon checks per
+    # polygon shape and the cone tables of _cell, live as long as it does;
+    # nothing is kept from one census to the next
     wanted = query.action_class
-    records: list[CensusRecord] = []
-    # per-call memos: the polygon checks per polygon shape, and the cone
-    # tables of _cell; nothing is kept from one call to the next
     checked: dict[tuple[int, int, int, int], tuple[bool, int | None, bool]] = {}
     tables: tuple[dict, dict] = ({}, {})
-    for g in query.genus_range():
-        if query.degrees is not None:
-            degs = query.degrees
-        elif g >= 2:
-            degs = range(1, cyclic_degree_cap(g) + 1)
-        else:
-            raise ValueError(
-                "a census below genus 2 has infinitely many data sets; "
-                "restrict it with a degree filter")
+    for g in genera:
+        degs = (query.degrees if query.degrees is not None
+                else range(1, cyclic_degree_cap(g) + 1))
         for n in degs:
             if oracle:
                 rows = ((d, _classify(d).label) for d in enumerate_oracle(n, g))
             else:
                 rows = ((d, label) for _, d, label in _cell(n, g, tables))
-            records.extend([_build_record(d, g, label, checked)
-                            for d, label in rows
-                            if wanted is None or label == wanted])
-    return records
+            # d comes canonical and valid from the enumerators, with genus g
+            yield [CensusRecord(d, g, label, _verified(d, g, checked)
+                                if label == "type1-irreducible" else None)
+                   for d, label in rows if wanted is None or label == wanted]
 
 
 def record_to_json(r: CensusRecord) -> dict:

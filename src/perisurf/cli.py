@@ -10,7 +10,11 @@ Each ``_cmd_*`` handler returns ``(exit code, payload, lines)`` and prints
 nothing itself.  :func:`main` prints the payload as indented JSON when JSON
 is wanted and the payload is not ``None``, and the text lines otherwise.
 ``census`` prints JSON lines in both modes, so it has a payload only with
-``--output``: the record count and the path of the file it wrote.
+``--output``: the record count and the path of the file it wrote.  It
+writes each degree/genus cell's records as the cell is made: its lines are
+an iterator that :func:`main` prints as they come, and with ``--output``
+they go to the file one by one, while the library's ``census()`` still
+returns a list.
 
 Only :mod:`perisurf.core` is imported with this module.  Each handler
 imports what it uses from the other modules, so a command loads only those:
@@ -50,11 +54,25 @@ _EDGE = re.compile(r"^\s*\(\s*(\d+)\s*:\s*(\d+)\s*\)\s*~\s*"
                    r"\(\s*(\d+)\s*:\s*(\d+)\s*\)\s*$")
 
 
+def _numbers(m: re.Match) -> list[int]:
+    # the digit groups of a match of _AT or _EDGE; as in a data set, a
+    # number past Python's int string limit is a parse error
+    numbers = []
+    for k, digits in enumerate(m.groups(), 1):
+        try:
+            numbers.append(int(digits))
+        except ValueError:
+            raise ParseError(f"a number of {len(digits)} digits is too long",
+                             m.start(k)) from None
+    return numbers
+
+
 def _parse_at(text: str) -> tuple[int, int]:
     m = _AT.match(text)
     if not m:
         raise ParseError(f"expected i:j, got {text!r}", 0)
-    return int(m.group(1)), int(m.group(2))
+    i, j = _numbers(m)
+    return i, j
 
 
 # The bounded arguments.  Each row gives the converter, what the text must
@@ -103,7 +121,7 @@ def _parse_edge(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
     m = _EDGE.match(text)
     if not m:
         raise ParseError(f"expected (cone:piece)~(cone:piece), got {text!r}", 0)
-    ca, pa, cb, pb = (int(g) for g in m.groups())
+    ca, pa, cb, pb = _numbers(m)
     if pa < 1 or pb < 1:
         raise ParseError(f"pieces are numbered from 1 in {text!r}", 0)
     return (pa - 1, ca), (pb - 1, cb)
@@ -380,20 +398,24 @@ def _cmd_enumerate(args):
 
 
 def _cmd_census(args):
-    from .census import CensusQuery, _record_line, census
+    from .census import CensusQuery, _census_cells, _record_line
 
-    # records go out as JSON lines in either output mode; only the report
-    # of a file written is a payload
+    # records go out as JSON lines in either output mode, each cell's as it
+    # is made; only the report of a file written is a payload.  A query the
+    # census refuses raises before the first cell, so before any output.
     query = CensusQuery(genus=args.genus, max_genus=args.max_genus,
                         degrees=args.degrees, action_class=args.action_class)
-    records = census(query, workers=args.workers, oracle=args.oracle)
-    lines = [_record_line(r, compact=True) for r in records]
+    cells = _census_cells(query, args.oracle)
+    lines = (_record_line(r, compact=True) for cell in cells for r in cell)
     if not args.output:
         return 0, None, lines
+    count = 0
     with open(args.output, "w") as fh:
-        fh.write("".join(line + "\n" for line in lines))
-    return (0, {"records": len(records), "output": args.output},
-            [f"{len(records)} records written to {args.output}"])
+        for line in lines:
+            fh.write(line + "\n")
+            count += 1
+    return (0, {"records": count, "output": args.output},
+            [f"{count} records written to {args.output}"])
 
 
 # --- parser -------------------------------------------------------------------

@@ -5,19 +5,20 @@ model a filling near a binding orbit of slope ``q/p``: ``f dg - g df > 0``
 away from the core and ``p f' + q g' < 0`` everywhere.  Verification is
 numerical on a sample grid with an explicit tolerance; values inside the
 tolerance band are reported as inconclusive rather than silently passed or
-failed.  A profile is built as three arcs (binding arc, Hermite arc, collar)
-from a plan of the sample count, which holds the grid and the Hermite basis
-and is kept for the last few counts up to the CLI's sample bound (a larger
-plan is built for its caller alone), and the condition values are computed
-in one pass.  One scan yields the inconclusive values and definite
-violations in grid order, and walks the samples only when some value is not
-clearly of the wanted sign.
-Verification reads all of it.  The search builds one shape, the first in
-the corner, and keeps only whether its scan found a definite violation;
-its docstring states why that shape decides.  The per-sample loops multiply
-floats only: the integers ``p``, ``q``, ``q K`` and ``p K`` are converted
-once, by the conversion an int operand gets anyway, so every sample and
-every report is the one the mixed int and float products give.
+failed.  A profile is built in one pass, binding arc, Hermite arc and
+collar in turn, from a plan of the sample count, which holds the grid and
+the Hermite basis and is kept for the last few counts up to the CLI's
+sample bound (a larger plan is built for its caller alone).  It is checked
+in one pass too: the condition values of every sample are computed
+together, and one scan yields the inconclusive values and definite
+violations in grid order, walking the samples only when some value is not
+clearly of the wanted sign.  Verification reads all of it.  The search
+builds one shape, the first in the corner, and keeps only whether its scan
+found a definite violation; its docstring states why that shape decides.
+The per-sample loops multiply floats only: the integers ``p``, ``q``,
+``q K`` and ``p K`` are converted once, by the conversion an int operand
+gets anyway, so every sample and every report is the one the mixed int and
+float products give.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 _BINDING_END = 0.25
 _COLLAR_START = 0.75
@@ -128,23 +128,25 @@ def _sample_plan(samples: int) -> _SamplePlan:
                        tuple(zip(*rows)), grid[collar:])
 
 
-def _profile_points(p: int, q: int, K: int, H: float, peak: float,
-                    plan: _SamplePlan):
-    """Yield the binding arc, the Hermite arc and the collar of the profile,
-    in order, each as three sequences ``(r, f0, g0)`` of its samples.
+def _assemble_profile(p: int, q: int, K: int, H: float, peak: float = 1.0,
+                      samples: int = 1024) -> ProfilePair:
+    """Build the profile of shape ``(K, H, peak)`` for the slope ``q/p`` in
+    one pass: the binding arc, then the Hermite arc, then the collar.
 
     Construction never fails on shape grounds: a collar offset that misses
     the corner still produces a curve, and the verifier rejects it.  There
     is no sign restriction on ``p`` here.  Everything that depends on the
     sample count alone (the arcs' samples, the squares of the binding arc
-    and the Hermite basis) comes from ``plan``, which :func:`_plan` keeps
+    and the Hermite basis) comes from the plan, which :func:`_plan` keeps
     for the last few counts up to the CLI's bound, so a profile costs only
     its shape arithmetic; each float is the one a per-profile computation
     gives.
     """
+    plan = _plan(samples)
     a, b = _BINDING_END, _COLLAR_START
     two_h = 2 * H
-    yield plan.binding, [two_h - s for s in plan.squares], plan.squares
+    f0 = [two_h - s for s in plan.squares]
+    g0 = list(plan.squares)
 
     # an int operand of a float operation is converted by the same correctly
     # rounded PyLong_AsDouble that float() uses, so each product below is the
@@ -157,33 +159,26 @@ def _profile_points(p: int, q: int, K: int, H: float, peak: float,
     gb, dgb = -b * qf + pK, -qf
     bump = (peak - 1.0) * max(1.0, abs(gb)) * 16
     basis = plan.basis
-    fs = [h00 * fa + h10w * dfa + h01 * fb + h11w * dfb
-          for h00, h10w, h01, h11w in zip(*basis[:4])]
+    f0 += [h00 * fa + h10w * dfa + h01 * fb + h11w * dfb
+           for h00, h10w, h01, h11w in zip(*basis[:4])]
     if bump == 0.0:
         # the bump term is then a zero, and x + 0.0 is x unless x is -0.0
         # or NaN.  No partial sum is NaN, every term being finite, and none
         # is -0.0: a sum is -0.0 only when both its terms are, and the first
         # term h00 * ga is not, for ga is 2**-4 and h00, a sum ending in
         # + 1, is not -0.0
-        gs = [h00 * ga + h10w * dga + h01 * gb + h11w * dgb
-              for h00, h10w, h01, h11w in zip(*basis[:4])]
+        g0 += [h00 * ga + h10w * dga + h01 * gb + h11w * dgb
+               for h00, h10w, h01, h11w in zip(*basis[:4])]
     else:
-        gs = [h00 * ga + h10w * dga + h01 * gb + h11w * dgb
-              + bump * t * t * u * u
-              for h00, h10w, h01, h11w, t, u in zip(*basis)]
-    yield plan.hermite, fs, gs
+        g0 += [h00 * ga + h10w * dga + h01 * gb + h11w * dgb
+               + bump * t * t * u * u
+               for h00, h10w, h01, h11w, t, u in zip(*basis)]
 
     rs = plan.collar
-    yield rs, [-r * pf - qK for r in rs], [-r * qf + pK for r in rs]
-
-
-def _assemble_profile(p: int, q: int, K: int, H: float, peak: float = 1.0,
-                      samples: int = 1024) -> ProfilePair:
-    plan = _plan(samples)
-    _, f0, g0 = zip(*_profile_points(p, q, K, H, peak, plan))
+    f0 += [-r * pf - qK for r in rs]
+    g0 += [-r * qf + pK for r in rs]
     # one grid tuple per kept sample count, shared by every profile built on it
-    return ProfilePair(plan.grid, tuple(chain(*f0)), tuple(chain(*g0)),
-                       p, q, K, H)
+    return ProfilePair(plan.grid, tuple(f0), tuple(g0), p, q, K, H)
 
 
 def _in_corner(p: int, q: int, K: int) -> bool:
@@ -235,37 +230,27 @@ def _require_verifiable(samples: int) -> None:
         raise ValueError("verification needs at least 64 samples")
 
 
-def _condition_values(grid, f0, g0, p: int, q: int, lo: int, hi: int):
-    """Return the contact values ``f g' - f' g`` at samples ``max(lo, 1)``
-    to ``hi - 1`` and the symplectic values ``p f' + q g'`` at samples
-    ``lo`` to ``hi - 1`` of the sequences ``grid``, ``f0`` and ``g0``.
+def _condition_values(grid, f0, g0, p: int, q: int):
+    """Return the contact values ``f g' - f' g`` at samples 1 onward and the
+    symplectic values ``p f' + q g'`` at every sample of the sequences
+    ``grid``, ``f0`` and ``g0``, in one pass.
 
     The binding core ``r = 0``, sample 0, is a coordinate degeneracy and has
     no contact value.  Derivatives are central differences, one-sided at
-    the two ends of the sequences, so a window that stops short of the end
-    reads one sample past ``hi - 1`` and no further.
+    the two ends of the sequences.
     """
-    if lo >= hi:
-        return [], []
-    last = len(grid) - 1
-    p, q = float(p), float(q)  # the same products (see _profile_points)
-
-    def stencil(values):
-        # the samples below and above each sample of the window
-        below = values[lo - 1:hi - 1] if lo else values[:1] + values[:hi - 1]
-        above = values[lo + 1:hi + 1]
-        return below, (above + values[last:] if hi > last else above)
-
+    p, q = float(p), float(q)  # the same products (see _assemble_profile)
     contact, symplectic = [], []
     for r_lo, r_hi, f_lo, f_hi, g_lo, g_hi, f, g in zip(
-            *stencil(grid), *stencil(f0), *stencil(g0), f0[lo:hi], g0[lo:hi]):
+            grid[:1] + grid[:-1], grid[1:] + grid[-1:],
+            f0[:1] + f0[:-1], f0[1:] + f0[-1:],
+            g0[:1] + g0[:-1], g0[1:] + g0[-1:], f0, g0):
         dr = r_hi - r_lo
         df = (f_hi - f_lo) / dr
         dg = (g_hi - g_lo) / dr
         contact.append(f * dg - df * g)
         symplectic.append(p * df + q * dg)
-    if not lo:
-        del contact[0]  # the core
+    del contact[0]  # the core
     return contact, symplectic
 
 
@@ -283,15 +268,16 @@ def _clear(contact, symplectic, tolerance: float) -> bool:
 
 def _findings(grid, f0, g0, p: int, q: int, tolerance: float):
     """Yield ``(r, condition, value, definite)`` for each condition value of
-    the samples (see :func:`_condition_values`) that is not clearly of the
-    wanted sign, in grid order, the contact value first.
+    the samples that is not clearly of the wanted sign, in grid order, the
+    contact value first; one pass of :func:`_condition_values` computes the
+    values of every sample.
 
     ``definite`` is false for a value with ``abs(value) <= tolerance`` and
     true for any other that is not positive (contact) or is positive
     (symplectic), so a NaN contact value is a violation and a NaN tolerance
     has no band.  Values that :func:`_clear` passes are not scanned.
     """
-    contact, symplectic = _condition_values(grid, f0, g0, p, q, 0, len(grid))
+    contact, symplectic = _condition_values(grid, f0, g0, p, q)
     if _clear(contact, symplectic, tolerance):
         return
     # the core, sample 0, has a symplectic value only
@@ -341,12 +327,16 @@ def binding_symplectic_deviation(pp: ProfilePair) -> float:
     """Largest gap between the numeric symplectic form and its closed form
     ``2r(q - p)`` on the interior of the binding arc."""
     grid = pp.grid
-    # samples 1 to end - 1, whose stencils end below the binding end
+    # samples 1 to end - 1, whose stencils end below the binding end; the
+    # pass runs on samples 0 to end, the last one those stencils read
     end = next((i for i in range(2, len(grid)) if grid[i] >= _BINDING_END),
                len(grid)) - 1
-    _, symplectic = _condition_values(grid, pp.f0, pp.g0, pp.p, pp.q, 1, end)
+    if end < 2:
+        return 0.0  # no sample inside the binding arc
+    _, symplectic = _condition_values(grid[:end + 1], pp.f0[:end + 1],
+                                      pp.g0[:end + 1], pp.p, pp.q)
     return max([0.0, *(abs(numeric - 2 * r * (pp.q - pp.p))
-                       for r, numeric in zip(grid[1:end], symplectic))])
+                       for r, numeric in zip(grid[1:end], symplectic[1:end]))])
 
 
 def search_profiles(p: int, q: int, *, candidates: int = 1000,

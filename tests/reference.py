@@ -288,8 +288,8 @@ def _reference_assemble(p, q, K, H, peak=1.0, samples=1024):
     return ProfilePair(tuple(grid), tuple(f0), tuple(g0), p, q, K, H)
 
 
-# profiles._profile_points converts p, q, q * K and p * K to floats once; the
-# loops here multiply by the ints themselves, on the same sample plan.
+# profiles._assemble_profile converts p, q, q * K and p * K to floats once;
+# the loops here multiply by the ints themselves, on the same sample plan.
 
 
 def _profile_points_of_mixed_products(p, q, K, H, peak, plan):

@@ -84,6 +84,21 @@ def test_enumerate_degree_one_is_empty():
         assert enumerate_oracle(1, g) == []
 
 
+def test_degree_one_cell_returns_at_once(monkeypatch):
+    # no unit rotates and no cone order divides 1, so the cell walks no
+    # quotient genus; a walk would list the multisets of each of them
+    calls = []
+
+    def counting(n, target):
+        calls.append((n, target))
+        return []
+
+    monkeypatch.setattr(sys.modules["perisurf.census"], "_order_multisets",
+                        counting)
+    assert _cell(1, 10**5) == []
+    assert calls == []
+
+
 def test_enumerate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         enumerate_data_sets(0, 2)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from perisurf.census import cyclic_degree_cap
 from perisurf.cli import _LIMITS, main
 from perisurf.core import ParseError, parse_data_set
 from perisurf.gluing import Assembly, assembly_to_json, build_edge
@@ -201,6 +202,26 @@ def test_assemble_edge_syntax(capsys):
                              capsys)
         assert (code, out) == (2, "")
         assert err == f"parse error: {message} (at position 0)\n"
+
+
+@pytest.mark.parametrize("argv, position", [
+    (["glue", "(6,0;(1,2),(1,3),(1,6))", "(6,0;(1,2),(2,3),(5,6))",
+      "--at", "{past}:3"], 0),
+    (["self-glue", "(3,0;(1,3),(1,3),(2,3),(2,3))", "--at", "2:{past}"], 2),
+    (["assemble", HEX_PLUS, PIECE_B, "--edge", "(3:1)~({past}:2)"], 7),
+    (["fill", HEX_PLUS, "--self-edge", "(1:{past})~(2:1)"], 3),
+], ids=["glue-at", "self-glue-at", "assemble-edge", "fill-self-edge"])
+def test_numbers_past_the_digit_limit_are_parse_errors(argv, position,
+                                                       capsys):
+    # as in a data set: exit 2 with the parser's message, not int()'s
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python has no int string limit")
+    argv = [*argv[:-1], argv[-1].format(past="9" * (limit + 1))]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"parse error: a number of {limit + 1} digits is too "
+                   f"long (at position {position})\n")
 
 
 def test_assemble_rejects_unmarked_pieces(capsys):
@@ -520,6 +541,43 @@ def test_census_stream_and_file(tmp_path, capsys):
     assert "max_genus must be non-negative" in err
 
 
+def test_census_refusal_creates_no_output_file(tmp_path, capsys):
+    # the census refuses the query before its first cell, so before the
+    # file is opened
+    target = tmp_path / "census.jsonl"
+    for argv in (["--genus", "1"], ["--genus", "2", "--degrees", "5,0"]):
+        code, out, err = run(["census", *argv, "--output", str(target)],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert not target.exists()
+
+
+def test_census_prints_its_first_line_before_the_last_cell(monkeypatch):
+    # each cell's records are written as the cell is made: the first line
+    # reaches stdout while cells are still to come
+    census_module = sys.modules["perisurf.census"]
+    cell = census_module._cell
+    cells = []
+    cells_at_first_write = []
+
+    def counting(*args):
+        cells.append(args[:2])
+        return cell(*args)
+
+    class Watched(io.StringIO):
+        def write(self, text):
+            if not cells_at_first_write:
+                cells_at_first_write.append(len(cells))
+            return super().write(text)
+
+    monkeypatch.setattr(census_module, "_cell", counting)
+    monkeypatch.setattr("sys.stdout", Watched())
+    assert main(["census", "--genus", "4"]) == 0
+    assert len(cells) == cyclic_degree_cap(4)
+    assert cells_at_first_write == [2]  # degree 1 is empty, degree 2 is not
+
+
 def test_count_options_must_be_positive(capsys):
     for argv in (["census", "--genus", "2", "--degrees", "5", "--workers", "0"],
                  ["census", "--genus", "2", "--degrees", "5", "--workers", "-3"],
@@ -578,6 +636,8 @@ def test_closed_stdout_is_an_error_exit(capsys, monkeypatch):
             raise BrokenPipeError(32, "Broken pipe")
 
     monkeypatch.setattr("sys.stdout", ClosedPipe())
-    code = main(["genus", "(6,0;(1,2),(1,3),(1,6))"])
-    assert code == 1
-    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    for argv in (["genus", "(6,0;(1,2),(1,3),(1,6))"],
+                 ["census", "--genus", "2"]):
+        code = main(argv)
+        assert code == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"

@@ -14,6 +14,7 @@ from hypothesis import example, given, strategies as st
 
 import perisurf.profiles as profiles
 from perisurf.profiles import (
+    ProfilePair,
     _BINDING_END,
     _COLLAR_START,
     _assemble_profile,
@@ -239,6 +240,27 @@ def test_float_sample_count_is_refused_after_a_build_at_that_count():
 def test_binding_deviation_of_a_grid_with_no_binding_interior():
     # two samples, r = 0 and r = 1: no sample lies inside the binding arc
     assert binding_symplectic_deviation(build_profile(2, 1, samples=2)) == 0.0
+    # nor in a hand-built one-sample profile, which has no stencil at all
+    pp = ProfilePair((0.0,), (10.0,), (0.0,), 2, 1, 2, 5.0)
+    assert binding_symplectic_deviation(pp) == 0.0
+
+
+def test_binding_deviation_of_short_grids_matches_reference():
+    # from 10 samples on, the binding arc has an interior sample
+    for samples in range(2, 20):
+        pp = build_profile(2, 1, samples=samples)
+        assert (repr(binding_symplectic_deviation(pp))
+                == repr(_reference_binding_deviation(pp)))
+
+
+def test_binding_deviation_reads_no_sample_past_the_binding_arc():
+    # equal last grid values would divide by zero in a pass over the whole
+    # grid; the deviation reads only the samples up to the binding end
+    pp = build_profile(2, 1, samples=64)
+    grid = pp.grid[:-1] + pp.grid[-2:-1]
+    assert grid[-1] == grid[-2]
+    assert (repr(binding_symplectic_deviation(replace(pp, grid=grid)))
+            == repr(binding_symplectic_deviation(pp)))
 
 
 def test_profile_csv_roundtrip(tmp_path):
@@ -314,7 +336,7 @@ def _program_floats(p, q, K, H, peak, samples):
     yield pp.f0
     yield pp.g0
     if samples == 64:
-        yield from _condition_values(pp.grid, pp.f0, pp.g0, p, q, 0, samples)
+        yield from _condition_values(pp.grid, pp.f0, pp.g0, p, q)
 
 
 def _mixed_product_floats(p, q, K, H, peak, samples):
@@ -400,13 +422,13 @@ def test_search_builds_one_shape_in_the_corner_and_none_outside_it(
     # -p < q < 0 verify their first shape in the corner, p < q < 2p fails
     # it on the binding arc, and q < -p has no K in the corner
     built = []
-    profile_points = profiles._profile_points
+    assemble = profiles._assemble_profile
 
-    def counting(*args):
-        built.append(args[:5])
-        return profile_points(*args)
+    def counting(p, q, K, H, peak=1.0, samples=1024):
+        built.append((p, q, K, H, peak))
+        return assemble(p, q, K, H, peak, samples)
 
-    monkeypatch.setattr(profiles, "_profile_points", counting)
+    monkeypatch.setattr(profiles, "_assemble_profile", counting)
     for (p, q), found, shapes in (((5, 2), True, [(5, 2, 1, 1.0, 1.0)]),
                                   ((7, 12), False, [(7, 12, 2, 1.0, 1.0)]),
                                   ((7, -2), True, [(7, -2, 1, 1.0, 1.0)]),

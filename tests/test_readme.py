@@ -117,6 +117,17 @@ def _digits(row):
     assert _build_parser().parse_args(["enumerate", "6", at]).genus == int(at)
     _usage_error(row, ["enumerate", "6", past])
     _usage_error(row, ["profile", "5", "1", "--K", past])
+    # the numbers of --at and --edge, read by the CLI
+    hexagon = "(6,0;(1,2),(1,3),(1,6))"
+    piece = "(6_+,0;(1,2),(1,3),(1,6),[3])"
+    for argv, slot in ((["glue", hexagon, hexagon, "--at"], "{}:1"),
+                       (["assemble", piece, piece, "--edge"], "(1:1)~({}:2)")):
+        code, out, err = cli(argv + [slot.format(at)])
+        assert (code, out) == (1, ""), argv
+        assert not err.startswith("parse error: ")
+        code, out, err = cli(argv + [slot.format(past)])
+        assert (code, out) == (_number(row["Exit"]), ""), argv
+        assert err.startswith(f"parse error: a number of {bound + 1} digits")
 
 
 def _profile_argv(p: int, q: int, K: int | None = None) -> list[str]:
@@ -273,7 +284,8 @@ def _no_upper_bound(row):
 
 LIMIT_CHECKS = {
     "cone pairs of a data set, repeats included": _cone_pairs,
-    "a number in a data set or an integer argument": _digits,
+    "a number in a data set, `--at` or `--edge`, or an integer argument":
+        _digits,
     "`profile P Q` and `--K`": _profile_integers,
     "`profile --samples`": _samples_at_most,
     "samples to verify": _samples_to_verify,
